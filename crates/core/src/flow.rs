@@ -188,12 +188,10 @@ pub struct FlowConfig {
     pub worst_k: usize,
     /// Trace campaign for the DPA evaluation step (slice flow).
     pub campaign: campaign::CampaignConfig,
-    /// Worker threads for the trace-campaign step. `1` (the default)
-    /// uses the legacy serial acquisition loop; larger values (or `0`
-    /// for "all cores") run the campaign on the `qdi-exec` pool with
-    /// per-index noise seeding — bit-identical across worker counts, but
-    /// on a different (worker-count-invariant) noise schedule than the
-    /// serial loop (see [`qdi_dpa::parallel`]).
+    /// Worker threads for the trace-campaign step on the `qdi-exec`
+    /// pool: `1` (the default) runs inline on the calling thread, `0`
+    /// means "all cores". Per-index noise seeding makes the traces
+    /// bit-identical at every worker count (see [`qdi_dpa::parallel`]).
     pub workers: usize,
     /// Lint severities and thresholds for both lint stages. The flow
     /// default disables the `dA` deny tier (`da_deny = None`): routed
@@ -205,14 +203,13 @@ pub struct FlowConfig {
     /// error): abort with a [`FlowError`] or record the failure in the
     /// report's [`StepOutcome`] list and keep going.
     pub policy: FlowPolicy,
-    /// Supervisor policy for the trace-campaign step. When set — and the
-    /// campaign runs on the pool (`workers != 1`) under
-    /// [`FlowPolicy::ContinueOnError`] — acquisitions that panic, error
+    /// Supervisor policy for the trace-campaign step. When set under
+    /// [`FlowPolicy::ContinueOnError`], acquisitions that panic, error
     /// or overrun are retried and then quarantined instead of sinking
     /// the whole evaluation: the attack runs on the surviving traces and
     /// [`SliceFlowReport::quarantine`] carries the manifest. Ignored
-    /// under [`FlowPolicy::FailFast`] and on the serial campaign path,
-    /// where a failure is supposed to abort.
+    /// under [`FlowPolicy::FailFast`], where a failure is supposed to
+    /// abort.
     pub supervisor: Option<qdi_exec::SupervisorPolicy>,
     /// Turns on the process-wide progress facility
     /// ([`qdi_obs::progress`]) before the run, so the campaign and any
@@ -661,23 +658,18 @@ pub fn run_slice_flow(
 ) -> Result<SliceFlowReport, FlowError> {
     let mut layout = run_static_flow(&mut slice.netlist, cfg)?;
     // The supervised campaign path is graceful degradation, so it only
-    // engages when the flow is already committed to continuing on error
-    // and the campaign runs on the pool.
+    // engages when the flow is already committed to continuing on error.
     let supervised = match cfg.policy {
-        FlowPolicy::ContinueOnError if cfg.workers != 1 => cfg.supervisor.as_ref(),
-        _ => None,
+        FlowPolicy::ContinueOnError => cfg.supervisor.as_ref(),
+        FlowPolicy::FailFast => None,
+    };
+    let exec = qdi_exec::ExecConfig {
+        workers: cfg.workers,
     };
     let mut quarantine = None;
     let set = if let Some(policy) = supervised {
         let run = layout.telemetry.step("qdi_core::flow", "campaign", || {
-            qdi_dpa::run_parallel_campaign_supervised(
-                slice,
-                &cfg.campaign,
-                qdi_exec::ExecConfig {
-                    workers: cfg.workers,
-                },
-                policy,
-            )
+            qdi_dpa::run_parallel_campaign_supervised(slice, &cfg.campaign, exec, policy)
         });
         if cfg.timeseries {
             qdi_obs::timeseries::tick();
@@ -713,17 +705,7 @@ pub fn run_slice_flow(
         run.traces
     } else {
         let set = layout.telemetry.step("qdi_core::flow", "campaign", || {
-            if cfg.workers == 1 {
-                campaign::run_slice_campaign(slice, &cfg.campaign)
-            } else {
-                qdi_dpa::run_parallel_campaign(
-                    slice,
-                    &cfg.campaign,
-                    qdi_exec::ExecConfig {
-                        workers: cfg.workers,
-                    },
-                )
-            }
+            qdi_dpa::run_parallel_campaign(slice, &cfg.campaign, exec)
         });
         if cfg.timeseries {
             qdi_obs::timeseries::tick();
@@ -800,36 +782,39 @@ mod tests {
 
     #[test]
     fn supervised_slice_flow_quarantines_and_still_reports() {
-        let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
-        let mut cfg = fast_cfg(Strategy::Flat, 0x42);
-        cfg.policy = FlowPolicy::ContinueOnError;
-        cfg.workers = 2;
-        cfg.campaign.traces = 6;
-        // A budget no acquisition fits in, with the supervisor's retries
-        // off: every acquisition quarantines.
-        cfg.campaign.testbench.event_limit = 1;
-        cfg.supervisor = Some(
-            qdi_exec::SupervisorPolicy::new()
-                .without_backoff()
-                .with_retries(0),
-        );
-        let sel = AesXorSelect { byte: 0, bit: 0 };
-        let report = run_slice_flow(&mut slice, &sel, &cfg).expect("partial report, not abort");
-        let quarantine = report.quarantine.as_ref().expect("supervised path ran");
-        assert_eq!(quarantine.len(), 6);
-        assert!(report.attack.is_none());
-        assert!(report
-            .layout
-            .steps
-            .iter()
-            .any(|s| s.step == "campaign" && matches!(s.status, StepStatus::Failed { .. })));
-        assert!(report
-            .layout
-            .steps
-            .iter()
-            .any(|s| s.step == "attack" && matches!(s.status, StepStatus::Skipped { .. })));
-        let text = report.to_text();
-        assert!(text.contains("quarantine"), "{text}");
+        // The supervisor is honoured at every worker count, one included.
+        for workers in [1usize, 2] {
+            let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
+            let mut cfg = fast_cfg(Strategy::Flat, 0x42);
+            cfg.policy = FlowPolicy::ContinueOnError;
+            cfg.workers = workers;
+            cfg.campaign.traces = 6;
+            // A budget no acquisition fits in, with the supervisor's
+            // retries off: every acquisition quarantines.
+            cfg.campaign.testbench.event_limit = 1;
+            cfg.supervisor = Some(
+                qdi_exec::SupervisorPolicy::new()
+                    .without_backoff()
+                    .with_retries(0),
+            );
+            let sel = AesXorSelect { byte: 0, bit: 0 };
+            let report = run_slice_flow(&mut slice, &sel, &cfg).expect("partial report, not abort");
+            let quarantine = report.quarantine.as_ref().expect("supervised path ran");
+            assert_eq!(quarantine.len(), 6, "workers = {workers}");
+            assert!(report.attack.is_none());
+            assert!(report
+                .layout
+                .steps
+                .iter()
+                .any(|s| s.step == "campaign" && matches!(s.status, StepStatus::Failed { .. })));
+            assert!(report
+                .layout
+                .steps
+                .iter()
+                .any(|s| s.step == "attack" && matches!(s.status, StepStatus::Skipped { .. })));
+            let text = report.to_text();
+            assert!(text.contains("quarantine"), "{text}");
+        }
     }
 
     #[test]
@@ -982,19 +967,24 @@ mod tests {
     fn slice_flow_parallel_campaign_is_worker_count_invariant() {
         let sel = AesXorSelect { byte: 0, bit: 0 };
         let mut best = Vec::new();
-        for workers in [2usize, 4] {
+        for workers in [1usize, 2, 4] {
             let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
             let mut cfg = fast_cfg(Strategy::Flat, 0x42);
             cfg.workers = workers;
+            // Noise makes the check bite: a campaign whose noise stream
+            // depended on the worker count would move the peak.
+            cfg.campaign.synth.noise_sigma = 0.02;
             let report = run_slice_flow(&mut slice, &sel, &cfg).expect("flow completes");
             let attack = report.attack.as_ref().expect("attack ran");
             assert_eq!(attack.traces, 24);
             best.push((attack.best().guess, attack.best().peak_abs));
         }
-        assert_eq!(
-            best[0], best[1],
-            "parallel campaign results must not depend on the worker count"
-        );
+        for (workers, b) in [2, 4].into_iter().zip(&best[1..]) {
+            assert_eq!(
+                best[0], *b,
+                "campaign results at {workers} workers must match 1 worker"
+            );
+        }
     }
 
     #[test]

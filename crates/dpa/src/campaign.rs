@@ -1,5 +1,9 @@
-//! Trace-campaign generation: drive the gate-level AES byte slice with
-//! random plaintexts and synthesize one power trace per encryption.
+//! Trace-campaign configuration and the per-acquisition kernel: drive
+//! the gate-level AES byte slice with a plaintext and synthesize one
+//! power trace per encryption. The engines that run whole campaigns on
+//! the `qdi-exec` pool are [`crate::run_parallel_campaign`],
+//! [`crate::run_parallel_campaign_supervised`] and the resumable
+//! [`crate::StoreCampaignRunner`].
 
 use qdi_analog::{SynthConfig, TraceSynthesizer};
 use qdi_crypto::gatelevel::{bit_values, slice::AesByteSlice};
@@ -7,8 +11,6 @@ use qdi_sim::{SimError, Testbench, TestbenchConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-
-use crate::traceset::TraceSet;
 
 /// How plaintexts are drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -65,95 +67,55 @@ impl CampaignConfig {
     }
 }
 
-/// Draws the plaintext for acquisition `n`. Shared by the one-shot
-/// campaign and the resumable runner so their RNG call sequences are
-/// bit-identical — a checkpointed run must not diverge from an
-/// uninterrupted one.
-pub(crate) fn draw_plaintext(
-    n: usize,
-    plaintexts: PlaintextSource,
-    rng: &mut ChaCha8Rng,
-    codebook: &mut [u8],
-) -> u8 {
-    match plaintexts {
-        PlaintextSource::Random => rng.gen(),
-        PlaintextSource::FullCodebook => {
-            if n.is_multiple_of(256) {
-                // Fisher-Yates reshuffle per codebook pass.
-                for i in (1..codebook.len()).rev() {
-                    let j = rng.gen_range(0..=i);
-                    codebook.swap(i, j);
+/// Draws the full plaintext schedule serially from the root RNG stream,
+/// so the plaintext of acquisition `i` is a pure function of the config
+/// — whichever worker later acquires it.
+pub(crate) fn plaintext_schedule(cfg: &CampaignConfig) -> Vec<u8> {
+    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    let mut codebook: Vec<u8> = (0..=255).collect();
+    (0..cfg.traces)
+        .map(|n| match cfg.plaintexts {
+            PlaintextSource::Random => rng.gen(),
+            PlaintextSource::FullCodebook => {
+                if n.is_multiple_of(256) {
+                    // Fisher-Yates reshuffle per codebook pass.
+                    for i in (1..codebook.len()).rev() {
+                        let j = rng.gen_range(0..=i);
+                        codebook.swap(i, j);
+                    }
                 }
+                codebook[n % 256]
             }
-            codebook[n % 256]
-        }
-    }
+        })
+        .collect()
 }
 
-/// One acquisition: simulates a four-phase computation of the slice for
-/// plaintext `pt` and synthesizes its noisy supply-current trace. `rng` is
-/// consumed only by the noise synthesis — the simulation itself is
-/// deterministic, which is what makes per-trace retries sound.
+/// Acquisition `index` of a campaign: simulates a four-phase computation
+/// of the slice for plaintext `pt` and synthesizes its noisy
+/// supply-current trace. The noise comes from the per-index RNG
+/// [`qdi_exec::job_rng`]`(cfg.seed, index)` and the simulation itself is
+/// deterministic, so a trace depends only on its index — never on the
+/// worker that ran it or on how many attempts it took, which is what
+/// makes per-trace retries sound.
 pub(crate) fn acquire_trace(
     slice: &AesByteSlice,
-    testbench: &TestbenchConfig,
+    cfg: &CampaignConfig,
     synth: &TraceSynthesizer<'_>,
-    key: u8,
     pt: u8,
-    rng: &mut ChaCha8Rng,
+    index: usize,
 ) -> Result<qdi_analog::Trace, SimError> {
     let _prof = qdi_obs::prof::region("dpa.acquire");
-    let mut tb = Testbench::new(&slice.netlist, *testbench)?;
+    let mut tb = Testbench::new(&slice.netlist, cfg.testbench)?;
     let pbits = bit_values(pt);
-    let kbits = bit_values(key);
+    let kbits = bit_values(cfg.key);
     for i in 0..8 {
         tb.source(slice.pt[i], vec![pbits[i]])?;
         tb.source(slice.key[i], vec![kbits[i]])?;
         tb.sink(slice.out[i])?;
     }
     let run = tb.run()?;
-    Ok(synth.synthesize_noisy(&run.transitions, rng))
-}
-
-/// Runs the campaign: for each of `cfg.traces` random plaintext bytes,
-/// simulates one four-phase computation of the slice and synthesizes its
-/// supply-current trace. The trace-set inputs hold the plaintext byte at
-/// index 0 (as the selection functions expect).
-///
-/// For long campaigns that should survive interruption, use
-/// [`crate::resume::CampaignRunner`] instead — it produces bit-identical
-/// traces with checkpoint/resume and per-trace retry.
-///
-/// # Errors
-///
-/// Propagates simulator errors ([`SimError`]); a deadlock indicates a bug
-/// in the slice netlist, not in the campaign.
-pub fn run_slice_campaign(
-    slice: &AesByteSlice,
-    cfg: &CampaignConfig,
-) -> Result<TraceSet, SimError> {
-    let mut span = qdi_obs::span("qdi_dpa::campaign", "run_slice_campaign")
-        .field("traces", cfg.traces)
-        .field("noise_sigma", cfg.synth.noise_sigma)
-        .enter();
-    let start = std::time::Instant::now();
-    let traces_metric = qdi_obs::metrics::counter("dpa.traces");
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let synth = TraceSynthesizer::new(&slice.netlist, cfg.synth);
-    let mut codebook: Vec<u8> = (0..=255).collect();
-    let mut set = TraceSet::new();
-    for n in 0..cfg.traces {
-        let pt = draw_plaintext(n, cfg.plaintexts, &mut rng, &mut codebook);
-        let trace = acquire_trace(slice, &cfg.testbench, &synth, cfg.key, pt, &mut rng)?;
-        set.push(vec![pt], trace);
-        traces_metric.inc();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    span.record("wall_s", elapsed);
-    if elapsed > 0.0 {
-        span.record("traces_per_s", cfg.traces as f64 / elapsed);
-    }
-    Ok(set)
+    let mut noise_rng = qdi_exec::job_rng(cfg.seed, index as u64);
+    Ok(synth.synthesize_noisy(&run.transitions, &mut noise_rng))
 }
 
 /// Calibrates a point-of-interest window for attacks on the slice: the
@@ -251,15 +213,17 @@ pub fn xor_stage_window(
 mod tests {
     use super::*;
     use crate::attack::{attack_with_guesses, bias_signal};
+    use crate::parallel::run_parallel_campaign;
     use crate::selection::{AesSboxSelect, AesXorSelect};
     use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
+    use qdi_exec::ExecConfig;
 
     #[test]
     fn campaign_produces_aligned_traces() {
         let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
         let mut cfg = CampaignConfig::new(0x42);
         cfg.traces = 8;
-        let set = run_slice_campaign(&slice, &cfg).expect("runs");
+        let set = run_parallel_campaign(&slice, &cfg, ExecConfig::serial()).expect("runs");
         assert_eq!(set.len(), 8);
         let dt = set.trace(0).dt_ps();
         for i in 1..8 {
@@ -275,7 +239,7 @@ mod tests {
         let key = 0x42;
         let mut cfg = CampaignConfig::new(key);
         cfg.traces = 64;
-        let set = run_slice_campaign(&slice, &cfg).expect("runs");
+        let set = run_parallel_campaign(&slice, &cfg, ExecConfig::serial()).expect("runs");
         let sel = AesXorSelect { byte: 0, bit: 0 };
         let correct = bias_signal(&set, &sel, key as u16).expect("split");
         let peak = correct.abs_peak().expect("nonempty").1.abs();
@@ -296,7 +260,7 @@ mod tests {
         let key = 0xB5;
         let mut cfg = CampaignConfig::new(key);
         cfg.traces = 64;
-        let set = run_slice_campaign(&slice, &cfg).expect("runs");
+        let set = run_parallel_campaign(&slice, &cfg, ExecConfig::serial()).expect("runs");
         let sel = AesXorSelect { byte: 0, bit: 0 };
         let correct = bias_signal(&set, &sel, key as u16).expect("split");
         let peak = correct.abs_peak().expect("peak").1.abs();
@@ -324,7 +288,7 @@ mod tests {
         let key = 0x6B;
         let mut cfg = CampaignConfig::new(key);
         cfg.traces = 96;
-        let set = run_slice_campaign(&slice, &cfg).expect("runs");
+        let set = run_parallel_campaign(&slice, &cfg, ExecConfig::serial()).expect("runs");
         let sel = AesSboxSelect { byte: 0, bit: 0 };
         // Rank the correct key against 15 decoys (a full 256-guess attack
         // lives in the benches).

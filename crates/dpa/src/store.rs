@@ -15,8 +15,12 @@
 //!   appends them to a store as chunks complete. Its
 //!   [`StoreCheckpoint`] is a few hundred bytes — fingerprint, progress
 //!   counter and byte offset — because per-index noise seeding makes
-//!   every other bit of campaign state derivable from the config.
+//!   every other bit of campaign state derivable from the config. It is
+//!   the crate's one resumable campaign and its checkpoint the one
+//!   checkpoint format.
 
+use std::error::Error;
+use std::fmt;
 use std::path::Path;
 
 use qdi_analog::{Trace, TraceSynthesizer};
@@ -28,10 +32,74 @@ use serde::{Deserialize, Serialize};
 
 use crate::attack::BiasAccumulator;
 use crate::campaign::CampaignConfig;
-use crate::parallel::{acquire_indexed, plaintext_schedule, BIAS_SHARD};
-use crate::resume::{load_durable_json, save_durable_json, CampaignError, ResilienceConfig};
+use crate::campaign::{acquire_trace, plaintext_schedule};
+use crate::parallel::BIAS_SHARD;
 use crate::selection::SelectionFunction;
 use crate::traceset::{TraceSet, TraceSetError};
+
+/// Retry and checkpoint knobs for a resilient campaign.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ResilienceConfig {
+    /// Traces per chunk of [`StoreCampaignRunner::step_chunk`] — one
+    /// checkpoint per chunk under
+    /// [`StoreCampaignRunner::run_with_checkpoints`].
+    pub checkpoint_every: usize,
+    /// Retries per trace on budget-class failures before giving up.
+    pub max_retries: u32,
+    /// Budget multiplier per retry: attempt `k` runs with the configured
+    /// event/round budgets times `budget_backoff^k`. Values below 2 are
+    /// clamped to 2 — retrying with the same budget cannot help a
+    /// deterministic simulation.
+    pub budget_backoff: u64,
+}
+
+impl ResilienceConfig {
+    /// Defaults: checkpoint every 64 traces, 2 retries, 4x backoff.
+    pub fn new() -> Self {
+        ResilienceConfig {
+            checkpoint_every: 64,
+            max_retries: 2,
+            budget_backoff: 4,
+        }
+    }
+}
+
+impl Default for ResilienceConfig {
+    fn default() -> Self {
+        ResilienceConfig::new()
+    }
+}
+
+/// Why a resilient campaign stopped.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CampaignError {
+    /// The simulator failed permanently (deadlock, livelock, bad
+    /// environment) or exhausted its budget even after all retries.
+    Sim(SimError),
+    /// A checkpoint could not be applied (config or worker-count
+    /// mismatch, inconsistent counters).
+    Checkpoint(String),
+    /// A checkpoint file could not be read, written or parsed.
+    Io(String),
+}
+
+impl fmt::Display for CampaignError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CampaignError::Sim(e) => write!(f, "simulation failed: {e:?}"),
+            CampaignError::Checkpoint(reason) => write!(f, "bad checkpoint: {reason}"),
+            CampaignError::Io(reason) => write!(f, "checkpoint I/O: {reason}"),
+        }
+    }
+}
+
+impl Error for CampaignError {}
+
+impl From<SimError> for CampaignError {
+    fn from(e: SimError) -> Self {
+        CampaignError::Sim(e)
+    }
+}
 
 impl From<StoreError> for CampaignError {
     fn from(e: StoreError) -> Self {
@@ -126,6 +194,49 @@ pub fn bias_signal_from_store(
     Ok(total.finish())
 }
 
+/// Durably writes checkpoint JSON: write-then-rename with a trailing
+/// CRC, keeping the previous verified generation as `.bak`
+/// ([`qdi_obs::durable`], `Durability::Checkpoint`). A crash mid-write
+/// leaves either the new generation, a classified-torn temp file, or
+/// the old generation — never a half-written checkpoint that parses.
+pub(crate) fn save_durable_json(path: &Path, json: String) -> Result<(), CampaignError> {
+    qdi_obs::durable::save(
+        path,
+        (json + "\n").as_bytes(),
+        qdi_obs::durable::Durability::Checkpoint,
+    )
+    .map_err(|e| CampaignError::Io(e.to_string()))
+}
+
+/// Recovers durably-written checkpoint JSON, classifying damage instead
+/// of parsing through it: a torn or corrupt primary falls back to the
+/// `.bak` generation; when both are damaged the classification
+/// (torn/corrupt/version) is reported as [`CampaignError::Checkpoint`].
+/// Files written before the durable format (no CRC trailer) still load.
+pub(crate) fn load_durable_json(path: &Path) -> Result<String, CampaignError> {
+    use qdi_obs::durable;
+    let err = match durable::recover(path) {
+        Ok(recovered) => {
+            return String::from_utf8(recovered.payload)
+                .map_err(|e| CampaignError::Io(format!("{}: {e}", path.display())))
+        }
+        Err(e @ durable::DurableError::Io { .. }) => return Err(CampaignError::Io(e.to_string())),
+        Err(e) => e,
+    };
+    // Legacy fallback: checkpoints written before the durable format
+    // carry no trailer. A file that *does* carry a trailer but failed
+    // verification is damaged — classified, never parsed around.
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CampaignError::Io(format!("read {}: {e}", path.display())))?;
+    if text.contains(durable::TRAILER_PREFIX) {
+        return Err(CampaignError::Checkpoint(format!(
+            "{}: {err}",
+            path.display()
+        )));
+    }
+    Ok(text)
+}
+
 /// Serializable snapshot of a store-backed campaign: no raw samples —
 /// the traces already collected live behind `store_offset` in the
 /// `.qtrs` file, and per-index noise seeding makes the RNG state a pure
@@ -133,7 +244,8 @@ pub fn bias_signal_from_store(
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StoreCheckpoint {
     /// Ties the checkpoint to the exact config *and worker count* that
-    /// produced it (see [`crate::resume::CampaignCheckpoint`]).
+    /// produced it: resuming under a different config would silently
+    /// mix trace distributions.
     pub fingerprint: String,
     /// Traces acquired and durably appended to the store.
     pub completed: usize,
@@ -152,9 +264,10 @@ pub struct StoreCheckpoint {
 }
 
 impl StoreCheckpoint {
-    /// Writes the checkpoint as durable JSON (write-then-rename with a
-    /// trailing CRC, previous verified generation kept as `.bak` —
-    /// like [`crate::resume::CampaignCheckpoint::save`]).
+    /// Writes the checkpoint as durable JSON: write-then-rename with a
+    /// trailing CRC, previous verified generation kept as `.bak`. A kill
+    /// at any byte leaves a recoverable file (see
+    /// [`StoreCheckpoint::load`]).
     ///
     /// # Errors
     ///
@@ -185,11 +298,14 @@ fn store_fingerprint(cfg: &CampaignConfig, workers: usize) -> String {
     format!("{cfg:?} workers={workers}")
 }
 
-/// One indexed acquisition with the budget-escalation retry loop of
-/// [`crate::resume::CampaignRunner::step`]: budget-class simulator
-/// failures re-run with event/round budgets times `budget_backoff^k`.
-/// The noise RNG is re-derived from the index each attempt, so a
-/// rescued trace is bit-identical to an undisturbed acquisition.
+/// One indexed acquisition with budget escalation: budget-class
+/// simulator failures ([`SimError::EventLimit`] /
+/// [`SimError::SimTimeout`]) re-run with event/round budgets times
+/// `budget_backoff^k`, up to [`ResilienceConfig::max_retries`] times.
+/// Protocol-class failures (deadlock, livelock, bad environment) are
+/// never retried: the simulation is deterministic, so they would only
+/// repeat. The noise RNG is re-derived from the index each attempt, so
+/// a rescued trace is bit-identical to an undisturbed acquisition.
 fn acquire_resilient(
     slice: &AesByteSlice,
     cfg: &CampaignConfig,
@@ -205,14 +321,13 @@ fn acquire_resilient(
         let factor = backoff.saturating_pow(attempt);
         try_cfg.testbench.event_limit = try_cfg.testbench.event_limit.saturating_mul(factor);
         try_cfg.testbench.max_rounds = try_cfg.testbench.max_rounds.saturating_mul(factor);
-        match acquire_indexed(slice, &try_cfg, synth, pt, index) {
+        match acquire_trace(slice, &try_cfg, synth, pt, index) {
             Ok(trace) => return Ok(trace),
-            Err(err @ (SimError::EventLimit { .. } | SimError::SimTimeout { .. }))
+            Err(SimError::EventLimit { .. } | SimError::SimTimeout { .. })
                 if attempt < resilience.max_retries =>
             {
                 attempt += 1;
                 qdi_obs::metrics::counter("dpa.campaign.retries").inc();
-                let _ = err;
             }
             Err(err) => return Err(CampaignError::Sim(err)),
         }
@@ -400,10 +515,10 @@ impl<'a> StoreCampaignRunner<'a> {
     /// them to the store in index order and flushes. Returns `Ok(false)`
     /// when the campaign was already complete.
     ///
-    /// Budget-class simulator failures are retried per trace with the
-    /// escalation policy of [`crate::resume::CampaignRunner::step`];
-    /// the retry re-derives the per-index noise RNG, so a rescued trace
-    /// is bit-identical to an undisturbed acquisition.
+    /// Budget-class simulator failures are retried per trace with
+    /// escalated budgets ([`ResilienceConfig::budget_backoff`]); the
+    /// retry re-derives the per-index noise RNG, so a rescued trace is
+    /// bit-identical to an undisturbed acquisition.
     ///
     /// With a supervisor ([`StoreCampaignRunner::with_supervisor`]) the
     /// chunk degrades gracefully instead of failing fast: panicking or
@@ -832,5 +947,93 @@ mod tests {
         .expect_err("worker count mismatch");
         std::fs::remove_file(&path).ok();
         assert!(matches!(err, CampaignError::Checkpoint(_)), "{err}");
+    }
+
+    #[test]
+    fn store_resume_rejects_foreign_config() {
+        let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
+        let cfg = noisy_cfg(6);
+        let path = tmp("foreign.qtrs");
+        let resilience = ResilienceConfig {
+            checkpoint_every: 3,
+            ..ResilienceConfig::new()
+        };
+        let exec = ExecConfig { workers: 2 };
+        let mut runner =
+            StoreCampaignRunner::new(&slice, cfg, resilience, exec, &path, StoreOptions::new())
+                .expect("creates");
+        assert!(runner.step_chunk().expect("chunk"));
+        let checkpoint = runner.checkpoint();
+        drop(runner);
+        // Same worker count, different key: resuming would mix two
+        // trace distributions in one store.
+        let mut other = cfg;
+        other.key = 0x43;
+        let err = StoreCampaignRunner::resume(&slice, other, resilience, exec, checkpoint)
+            .expect_err("config mismatch");
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err, CampaignError::Checkpoint(_)), "{err}");
+    }
+
+    #[test]
+    fn budget_failures_are_rescued_bit_identically() {
+        let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
+        let mut cfg = noisy_cfg(3);
+        // A budget far too small for one handshake cycle: the first
+        // attempt fails budget-class; backoff 8x, 64x, 512x raises it
+        // until the run fits.
+        cfg.testbench.event_limit = 40;
+        cfg.testbench.max_rounds = 40;
+        let starved = run_parallel_campaign(&slice, &cfg, ExecConfig::serial())
+            .expect_err("the configured budget alone cannot complete a trace");
+        assert!(
+            matches!(
+                starved,
+                SimError::EventLimit { .. } | SimError::SimTimeout { .. }
+            ),
+            "{starved:?}"
+        );
+        let resilience = ResilienceConfig {
+            checkpoint_every: 64,
+            max_retries: 3,
+            budget_backoff: 8,
+        };
+        let path = tmp("rescued.qtrs");
+        let mut runner = StoreCampaignRunner::new(
+            &slice,
+            cfg,
+            resilience,
+            ExecConfig { workers: 2 },
+            &path,
+            StoreOptions::new(),
+        )
+        .expect("creates");
+        while runner.step_chunk().expect("escalation rescues every trace") {}
+        runner.finish().expect("closes");
+        let stored = TraceSet::from_store(&path).expect("loads");
+        std::fs::remove_file(&path).ok();
+
+        // The rescued traces match a comfortably-budgeted, undisturbed run.
+        let mut roomy = cfg;
+        roomy.testbench.event_limit = 50_000_000;
+        roomy.testbench.max_rounds = 1_000_000;
+        let golden = run_parallel_campaign(&slice, &roomy, ExecConfig::serial()).expect("runs");
+        assert_eq!(golden.len(), stored.len());
+        for i in 0..golden.len() {
+            assert_eq!(golden.input(i), stored.input(i), "plaintext {i}");
+            assert_eq!(
+                golden.trace(i).samples(),
+                stored.trace(i).samples(),
+                "rescued trace {i} must be bit-identical"
+            );
+        }
+    }
+
+    #[test]
+    fn load_reports_missing_checkpoint_as_io_error() {
+        let path = tmp("missing.ckpt.json");
+        std::fs::remove_file(&path).ok();
+        let err = StoreCheckpoint::load(&path).expect_err("missing file");
+        assert!(matches!(err, CampaignError::Io(_)), "{err}");
     }
 }

@@ -1,10 +1,11 @@
 //! Campaign driver: golden run, per-fault injection, classification.
 
+use qdi_exec::{ExecConfig, Quarantine, SupervisorPolicy};
 use qdi_netlist::Netlist;
 use qdi_sim::{Fault, FaultPlan, SimError, TestbenchConfig, TimePs};
 use serde::{Deserialize, Serialize};
 
-use crate::harness::{output_values, Stimulus};
+use crate::harness::{output_values, OutputValues, Stimulus};
 use crate::outcome::{classify, FaultOutcome};
 use crate::report::{FaultRecord, FaultReport};
 
@@ -60,8 +61,100 @@ pub fn default_injection_times(
     Ok(times)
 }
 
+/// The golden run both campaign entry points share, plus the per-fault
+/// injection and the serial, fault-ordered report assembly.
+struct Injector<'a> {
+    netlist: &'a Netlist,
+    faults: &'a [Fault],
+    cfg: &'a CampaignConfig,
+    stim: Stimulus,
+    golden: OutputValues,
+    // Inert unless `qdi_obs::progress` is enabled; feeds `qdi-mon watch`.
+    progress: qdi_obs::progress::ProgressTask,
+}
+
+impl<'a> Injector<'a> {
+    /// Attaches the stimulus and records the golden outputs.
+    fn new(
+        netlist: &'a Netlist,
+        faults: &'a [Fault],
+        cfg: &'a CampaignConfig,
+    ) -> Result<Injector<'a>, SimError> {
+        let stim = Stimulus::random(netlist, cfg.tokens, cfg.seed)?;
+        let golden = output_values(&stim.run(netlist, &cfg.testbench, None)?);
+        qdi_obs::metrics::counter("fi.runs").inc();
+        Ok(Injector {
+            netlist,
+            faults,
+            cfg,
+            stim,
+            golden,
+            progress: qdi_obs::progress::task("fi.campaign", faults.len()),
+        })
+    }
+
+    /// Replays the stimulus with fault `i` injected and classifies the
+    /// run against the golden outputs.
+    fn inject(&self, i: usize) -> FaultOutcome {
+        let plan = FaultPlan::single(self.faults[i]);
+        let result = self
+            .stim
+            .run(self.netlist, &self.cfg.testbench, Some(&plan));
+        let outcome = classify(self.netlist, &self.golden, &result);
+        self.progress.advance(1);
+        outcome
+    }
+
+    /// Builds the report. Records and outcome counters are materialized
+    /// serially in fault order, so metrics and report rows are
+    /// schedule-independent.
+    fn finish(
+        self,
+        span: &mut qdi_obs::SpanGuard,
+        outcomes: impl IntoIterator<Item = FaultOutcome>,
+    ) -> FaultReport {
+        self.progress.finish();
+        qdi_obs::metrics::counter("fi.runs").add(self.faults.len() as u64);
+        let records: Vec<FaultRecord> = self
+            .faults
+            .iter()
+            .zip(outcomes)
+            .map(|(fault, outcome)| {
+                qdi_obs::metrics::counter(&format!("fi.outcome.{}", outcome.mnemonic())).inc();
+                FaultRecord::new(self.netlist, fault, outcome)
+            })
+            .collect();
+        let report = FaultReport::new(self.netlist, self.faults, records);
+        span.record("detected", report.detected() as f64);
+        span.record("silent", report.silent as f64);
+        for outcome in FaultOutcome::all() {
+            span.record(outcome.mnemonic(), report.count(outcome) as f64);
+        }
+        report
+    }
+}
+
+fn campaign_span(
+    name: &str,
+    faults: &[Fault],
+    cfg: &CampaignConfig,
+    exec: ExecConfig,
+) -> qdi_obs::SpanGuard {
+    qdi_obs::span("qdi_fi::campaign", name)
+        .field("faults", faults.len())
+        .field("tokens", cfg.tokens)
+        .field("workers", exec.workers)
+        .enter()
+}
+
 /// Runs a fault campaign: one golden run, then one injected run per
-/// fault, each classified against the golden outputs.
+/// fault on the `qdi-exec` work-stealing pool, each classified against
+/// the golden outputs. [`ExecConfig::serial`] runs every injection
+/// inline on the calling thread.
+///
+/// The simulation is deterministic and every injected run is independent
+/// (faults never interact), so the report — per-fault outcomes, counts
+/// and coverage — is bit-identical at every worker count.
 ///
 /// # Errors
 ///
@@ -72,100 +165,18 @@ pub fn run_campaign(
     netlist: &Netlist,
     faults: &[Fault],
     cfg: &CampaignConfig,
+    exec: ExecConfig,
 ) -> Result<FaultReport, SimError> {
-    let mut span = qdi_obs::span("qdi_fi::campaign", "run_campaign")
-        .field("faults", faults.len())
-        .field("tokens", cfg.tokens)
-        .enter();
-    let runs_metric = qdi_obs::metrics::counter("fi.runs");
-    let stim = Stimulus::random(netlist, cfg.tokens, cfg.seed)?;
-    let golden_run = stim.run(netlist, &cfg.testbench, None)?;
-    let golden = output_values(&golden_run);
-    runs_metric.inc();
-
-    let mut records = Vec::with_capacity(faults.len());
-    for fault in faults {
-        let plan = FaultPlan::single(*fault);
-        let result = stim.run(netlist, &cfg.testbench, Some(&plan));
-        runs_metric.inc();
-        let outcome = classify(netlist, &golden, &result);
-        qdi_obs::metrics::counter(&format!("fi.outcome.{}", outcome.mnemonic())).inc();
-        records.push(FaultRecord::new(netlist, fault, outcome));
-    }
-
-    let report = FaultReport::new(netlist, faults, records);
-    span.record("detected", report.detected() as f64);
-    span.record("silent", report.silent as f64);
-    for outcome in FaultOutcome::all() {
-        span.record(outcome.mnemonic(), report.count(outcome) as f64);
-    }
-    Ok(report)
+    let mut span = campaign_span("run_campaign", faults, cfg, exec);
+    let injector = Injector::new(netlist, faults, cfg)?;
+    let outcomes = qdi_exec::run_indexed(&exec, faults.len(), |i| injector.inject(i));
+    Ok(injector.finish(&mut span, outcomes))
 }
 
-/// [`run_campaign`] with injected runs executed on the `qdi-exec`
-/// work-stealing pool — one job per fault site.
-///
-/// The simulation is deterministic and every injected run is independent
-/// (faults never interact), so the report — per-fault outcomes, counts
-/// and coverage — is bit-identical to the serial campaign's and to
-/// itself at every worker count.
-///
-/// # Errors
-///
-/// As [`run_campaign`]: only stimulus attachment or *golden*-run
-/// failures are errors; injected-run failures classify as outcomes.
-pub fn run_campaign_parallel(
-    netlist: &Netlist,
-    faults: &[Fault],
-    cfg: &CampaignConfig,
-    exec: qdi_exec::ExecConfig,
-) -> Result<FaultReport, SimError> {
-    let mut span = qdi_obs::span("qdi_fi::campaign", "run_campaign_parallel")
-        .field("faults", faults.len())
-        .field("tokens", cfg.tokens)
-        .field("workers", exec.workers)
-        .enter();
-    let runs_metric = qdi_obs::metrics::counter("fi.runs");
-    let stim = Stimulus::random(netlist, cfg.tokens, cfg.seed)?;
-    let golden_run = stim.run(netlist, &cfg.testbench, None)?;
-    let golden = output_values(&golden_run);
-    runs_metric.inc();
-
-    // Inert unless `qdi_obs::progress` is enabled; feeds `qdi-mon watch`.
-    let progress = qdi_obs::progress::task("fi.campaign", faults.len());
-    let outcomes = qdi_exec::run_indexed(&exec, faults.len(), |i| {
-        let plan = FaultPlan::single(faults[i]);
-        let result = stim.run(netlist, &cfg.testbench, Some(&plan));
-        let outcome = classify(netlist, &golden, &result);
-        progress.advance(1);
-        outcome
-    });
-    progress.finish();
-    runs_metric.add(faults.len() as u64);
-    // Records and outcome counters are materialized serially in fault
-    // order, so metrics and report rows are schedule-independent.
-    let records: Vec<FaultRecord> = faults
-        .iter()
-        .zip(outcomes)
-        .map(|(fault, outcome)| {
-            qdi_obs::metrics::counter(&format!("fi.outcome.{}", outcome.mnemonic())).inc();
-            FaultRecord::new(netlist, fault, outcome)
-        })
-        .collect();
-
-    let report = FaultReport::new(netlist, faults, records);
-    span.record("detected", report.detected() as f64);
-    span.record("silent", report.silent as f64);
-    for outcome in FaultOutcome::all() {
-        span.record(outcome.mnemonic(), report.count(outcome) as f64);
-    }
-    Ok(report)
-}
-
-/// [`run_campaign_parallel`] under a `qdi-exec` supervisor: a panicking
-/// or overrunning injected run is retried per `policy` and, when it
-/// keeps failing, recorded as [`FaultOutcome::Aborted`] (a harness
-/// verdict, not a circuit verdict) instead of killing the campaign. The
+/// [`run_campaign`] under a `qdi-exec` supervisor: a panicking or
+/// overrunning injected run is retried per `policy` and, when it keeps
+/// failing, recorded as [`FaultOutcome::Aborted`] (a harness verdict,
+/// not a circuit verdict) instead of killing the campaign. The
 /// quarantine manifest is returned beside the report so the aborted
 /// sites can be re-attempted.
 ///
@@ -176,56 +187,27 @@ pub fn run_campaign_parallel(
 ///
 /// # Errors
 ///
-/// As [`run_campaign_parallel`]: stimulus attachment or golden-run
-/// failures only.
-pub fn run_campaign_parallel_supervised(
+/// As [`run_campaign`]: stimulus attachment or golden-run failures only.
+pub fn run_campaign_supervised(
     netlist: &Netlist,
     faults: &[Fault],
     cfg: &CampaignConfig,
-    exec: qdi_exec::ExecConfig,
-    policy: &qdi_exec::SupervisorPolicy,
-) -> Result<(FaultReport, qdi_exec::Quarantine), SimError> {
-    let mut span = qdi_obs::span("qdi_fi::campaign", "run_campaign_parallel_supervised")
-        .field("faults", faults.len())
-        .field("tokens", cfg.tokens)
-        .field("workers", exec.workers)
-        .enter();
-    let runs_metric = qdi_obs::metrics::counter("fi.runs");
-    let stim = Stimulus::random(netlist, cfg.tokens, cfg.seed)?;
-    let golden_run = stim.run(netlist, &cfg.testbench, None)?;
-    let golden = output_values(&golden_run);
-    runs_metric.inc();
-
-    let progress = qdi_obs::progress::task("fi.campaign", faults.len());
+    exec: ExecConfig,
+    policy: &SupervisorPolicy,
+) -> Result<(FaultReport, Quarantine), SimError> {
+    let mut span = campaign_span("run_campaign_supervised", faults, cfg, exec);
+    let injector = Injector::new(netlist, faults, cfg)?;
     let run = qdi_exec::run_supervised(&exec, policy, cfg.seed, faults.len(), |i| {
-        let plan = FaultPlan::single(faults[i]);
-        let result = stim.run(netlist, &cfg.testbench, Some(&plan));
-        let outcome = classify(netlist, &golden, &result);
-        progress.advance(1);
-        Ok::<_, String>(outcome)
+        Ok::<_, String>(injector.inject(i))
     });
-    progress.finish();
-    runs_metric.add(faults.len() as u64);
-    let records: Vec<FaultRecord> = faults
-        .iter()
-        .zip(run.outcomes)
-        .map(|(fault, job)| {
-            // A quarantined injection is a harness failure, not a
-            // circuit verdict: record it as an aborted run.
-            let outcome = job.into_value().unwrap_or(FaultOutcome::Aborted);
-            qdi_obs::metrics::counter(&format!("fi.outcome.{}", outcome.mnemonic())).inc();
-            FaultRecord::new(netlist, fault, outcome)
-        })
-        .collect();
-
-    let report = FaultReport::new(netlist, faults, records);
-    span.record("detected", report.detected() as f64);
-    span.record("silent", report.silent as f64);
     span.record("quarantined", run.quarantine.len());
-    for outcome in FaultOutcome::all() {
-        span.record(outcome.mnemonic(), report.count(outcome) as f64);
-    }
-    Ok((report, run.quarantine))
+    // A quarantined injection is a harness failure, not a circuit
+    // verdict: record it as an aborted run.
+    let outcomes = run
+        .outcomes
+        .into_iter()
+        .map(|job| job.into_value().unwrap_or(FaultOutcome::Aborted));
+    Ok((injector.finish(&mut span, outcomes), run.quarantine))
 }
 
 #[cfg(test)]
@@ -249,7 +231,8 @@ mod tests {
     #[test]
     fn empty_campaign_reports_nothing() {
         let nl = xor_netlist();
-        let report = run_campaign(&nl, &[], &CampaignConfig::new()).expect("runs");
+        let report =
+            run_campaign(&nl, &[], &CampaignConfig::new(), ExecConfig::serial()).expect("runs");
         assert_eq!(report.total, 0);
         assert_eq!(report.detected(), 0);
         assert_eq!(report.coverage.len(), 1);
@@ -265,7 +248,8 @@ mod tests {
             .gates()
             .map(|g| Fault::new(FaultSite::Gate(g.id), FaultKind::StuckAt(false), 0))
             .collect();
-        let report = run_campaign(&nl, &faults, &CampaignConfig::new()).expect("runs");
+        let report =
+            run_campaign(&nl, &faults, &CampaignConfig::new(), ExecConfig::serial()).expect("runs");
         assert_eq!(report.total, faults.len());
         assert_eq!(
             report.silent, 0,
@@ -288,11 +272,11 @@ mod tests {
             .gates()
             .map(|g| Fault::new(FaultSite::Gate(g.id), FaultKind::StuckAt(false), 0))
             .collect();
-        let exec = qdi_exec::ExecConfig { workers: 2 };
-        let golden = run_campaign_parallel(&nl, &faults, &cfg, exec).expect("runs");
-        let policy = qdi_exec::SupervisorPolicy::new().without_backoff();
+        let exec = ExecConfig { workers: 2 };
+        let golden = run_campaign(&nl, &faults, &cfg, exec).expect("runs");
+        let policy = SupervisorPolicy::new().without_backoff();
         let (report, quarantine) =
-            run_campaign_parallel_supervised(&nl, &faults, &cfg, exec, &policy).expect("runs");
+            run_campaign_supervised(&nl, &faults, &cfg, exec, &policy).expect("runs");
         assert!(quarantine.is_empty(), "clean campaign quarantines nothing");
         assert_eq!(report.total, golden.total);
         assert_eq!(report.aborted, 0);
@@ -317,7 +301,7 @@ mod tests {
             );
         }
         let faults = enumerate_faults(&nl, &[FaultKind::TransientFlip], &times);
-        let report = run_campaign(&nl, &faults, &cfg).expect("runs");
+        let report = run_campaign(&nl, &faults, &cfg, ExecConfig::serial()).expect("runs");
         assert_eq!(report.total, faults.len());
     }
 }

@@ -29,8 +29,7 @@ pub mod report;
 pub mod sites;
 
 pub use campaign::{
-    default_injection_times, run_campaign, run_campaign_parallel, run_campaign_parallel_supervised,
-    CampaignConfig,
+    default_injection_times, run_campaign, run_campaign_supervised, CampaignConfig,
 };
 pub use harness::{output_values, OutputValues, Stimulus};
 pub use outcome::{classify, FaultOutcome};

@@ -14,6 +14,7 @@
 //! reproduces the observation that under the flat flow "the most sensitive
 //! channels are never the same from one place and route to another".
 
+use qdi_exec::{ExecConfig, Quarantine, SupervisorPolicy};
 use qdi_netlist::{symmetry, ChannelId, Netlist};
 use serde::{Deserialize, Serialize};
 
@@ -110,8 +111,8 @@ pub struct SeedOutcome {
     pub worst_d: f64,
 }
 
-/// One seed's flow run of a stability study — shared by the serial and
-/// parallel drivers so their outcomes are bit-identical.
+/// One seed's flow run of a stability study — shared by the fail-fast
+/// and supervised drivers so their outcomes are bit-identical.
 fn seed_outcome(netlist: &Netlist, strategy: Strategy, cfg: &PnrConfig, seed: u64) -> SeedOutcome {
     let mut nl = netlist.clone();
     let mut cfg = *cfg;
@@ -134,30 +135,19 @@ fn seed_outcome(netlist: &Netlist, strategy: Strategy, cfg: &PnrConfig, seed: u6
 /// Re-runs the flow across `seeds` and records the worst channel of each
 /// run — the paper's evidence that the flat flow is "not under the
 /// designer's control" is that these differ from run to run.
+///
+/// The per-seed annealing runs execute on the `qdi-exec` pool
+/// ([`ExecConfig::serial`] runs them inline). Each run's randomness
+/// comes from its own seed and results are merged in seed order, so the
+/// outcome list is bit-identical at every worker count.
 pub fn stability_study(
     netlist: &Netlist,
     strategy: Strategy,
     cfg: &PnrConfig,
     seeds: &[u64],
+    exec: ExecConfig,
 ) -> Vec<SeedOutcome> {
-    seeds
-        .iter()
-        .map(|&seed| seed_outcome(netlist, strategy, cfg, seed))
-        .collect()
-}
-
-/// [`stability_study`] with the per-seed annealing runs executed on the
-/// `qdi-exec` pool. Each run's randomness comes from its own seed and
-/// results are merged in seed order, so the outcome list is bit-identical
-/// to the serial study at every worker count.
-pub fn stability_study_parallel(
-    netlist: &Netlist,
-    strategy: Strategy,
-    cfg: &PnrConfig,
-    seeds: &[u64],
-    exec: qdi_exec::ExecConfig,
-) -> Vec<SeedOutcome> {
-    let mut span = qdi_obs::span("qdi_pnr::criterion", "stability_study_parallel")
+    let mut span = qdi_obs::span("qdi_pnr::criterion", "stability_study")
         .field("seeds", seeds.len())
         .field("workers", exec.workers)
         .enter();
@@ -173,22 +163,22 @@ pub fn stability_study_parallel(
     outcomes
 }
 
-/// [`stability_study_parallel`] under a `qdi-exec` supervisor: a
-/// panicking or overrunning annealing run is retried per `policy` and
-/// quarantined when it keeps failing, instead of killing the study.
-/// Returns one outcome per seed (`None` where quarantined, so surviving
-/// outcomes keep their seed position) plus the quarantine manifest —
-/// its entries report the failing *annealing seed* itself, the natural
-/// re-attempt handle for a multi-seed study.
-pub fn stability_study_parallel_supervised(
+/// [`stability_study`] under a `qdi-exec` supervisor: a panicking or
+/// overrunning annealing run is retried per `policy` and quarantined
+/// when it keeps failing, instead of killing the study. Returns one
+/// outcome per seed (`None` where quarantined, so surviving outcomes
+/// keep their seed position) plus the quarantine manifest — its entries
+/// report the failing *annealing seed* itself, the natural re-attempt
+/// handle for a multi-seed study.
+pub fn stability_study_supervised(
     netlist: &Netlist,
     strategy: Strategy,
     cfg: &PnrConfig,
     seeds: &[u64],
-    exec: qdi_exec::ExecConfig,
-    policy: &qdi_exec::SupervisorPolicy,
-) -> (Vec<Option<SeedOutcome>>, qdi_exec::Quarantine) {
-    let mut span = qdi_obs::span("qdi_pnr::criterion", "stability_study_parallel_supervised")
+    exec: ExecConfig,
+    policy: &SupervisorPolicy,
+) -> (Vec<Option<SeedOutcome>>, Quarantine) {
+    let mut span = qdi_obs::span("qdi_pnr::criterion", "stability_study_supervised")
         .field("seeds", seeds.len())
         .field("workers", exec.workers)
         .enter();
@@ -271,7 +261,13 @@ mod tests {
     #[test]
     fn stability_study_covers_all_seeds() {
         let nl = xor_netlist();
-        let outcomes = stability_study(&nl, Strategy::Flat, &PnrConfig::fast(), &[1, 2, 3]);
+        let outcomes = stability_study(
+            &nl,
+            Strategy::Flat,
+            &PnrConfig::fast(),
+            &[1, 2, 3],
+            ExecConfig::serial(),
+        );
         assert_eq!(outcomes.len(), 3);
         for o in &outcomes {
             assert!(o.worst_d >= 0.0);
@@ -280,38 +276,50 @@ mod tests {
     }
 
     #[test]
-    fn supervised_stability_study_matches_serial_when_clean() {
+    fn supervised_stability_study_matches_fail_fast_when_clean() {
         let nl = xor_netlist();
         let seeds = [1u64, 2, 3, 4];
-        let serial = stability_study(&nl, Strategy::Flat, &PnrConfig::fast(), &seeds);
-        let policy = qdi_exec::SupervisorPolicy::new().without_backoff();
-        let (outcomes, quarantine) = stability_study_parallel_supervised(
+        let golden = stability_study(
             &nl,
             Strategy::Flat,
             &PnrConfig::fast(),
             &seeds,
-            qdi_exec::ExecConfig { workers: 2 },
+            ExecConfig::serial(),
+        );
+        let policy = SupervisorPolicy::new().without_backoff();
+        let (outcomes, quarantine) = stability_study_supervised(
+            &nl,
+            Strategy::Flat,
+            &PnrConfig::fast(),
+            &seeds,
+            ExecConfig { workers: 2 },
             &policy,
         );
         assert!(quarantine.is_empty());
         let outcomes: Vec<SeedOutcome> = outcomes.into_iter().map(Option::unwrap).collect();
-        assert_eq!(serial, outcomes);
+        assert_eq!(golden, outcomes);
     }
 
     #[test]
-    fn parallel_stability_study_matches_serial() {
+    fn stability_study_is_worker_count_invariant() {
         let nl = xor_netlist();
         let seeds = [1u64, 2, 3, 4, 5];
-        let serial = stability_study(&nl, Strategy::Flat, &PnrConfig::fast(), &seeds);
-        for workers in [1usize, 2, 8] {
-            let parallel = stability_study_parallel(
+        let golden = stability_study(
+            &nl,
+            Strategy::Flat,
+            &PnrConfig::fast(),
+            &seeds,
+            ExecConfig::serial(),
+        );
+        for workers in [2usize, 8] {
+            let parallel = stability_study(
                 &nl,
                 Strategy::Flat,
                 &PnrConfig::fast(),
                 &seeds,
-                qdi_exec::ExecConfig { workers },
+                ExecConfig { workers },
             );
-            assert_eq!(serial, parallel, "outcomes @ {workers} workers");
+            assert_eq!(golden, parallel, "outcomes @ {workers} workers");
         }
     }
 }

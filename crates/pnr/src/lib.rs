@@ -61,8 +61,7 @@ use qdi_netlist::Netlist;
 use serde::{Deserialize, Serialize};
 
 pub use criterion::{
-    criterion_table, stability_study, stability_study_parallel,
-    stability_study_parallel_supervised, ChannelCriterion,
+    criterion_table, stability_study, stability_study_supervised, ChannelCriterion,
 };
 pub use floorplan::{Floorplan, Region};
 pub use geometry::Rect;

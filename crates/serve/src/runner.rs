@@ -348,7 +348,7 @@ fn run_fi(job: &Arc<JobHandle>, spec: &FiJobSpec) -> Result<(), String> {
     }
     let total = faults.len() as u64;
     let _ = job.advance(0, total, Vec::new());
-    let report = qdi_fi::run_campaign_parallel(
+    let report = qdi_fi::run_campaign(
         &slice.netlist,
         &faults,
         &spec.campaign,
@@ -372,7 +372,7 @@ fn run_pnr(job: &Arc<JobHandle>, spec: &PnrJobSpec) -> Result<(), String> {
     }
     let total = spec.seeds.len() as u64;
     let _ = job.advance(0, total, Vec::new());
-    let outcomes = qdi_pnr::stability_study_parallel(
+    let outcomes = qdi_pnr::stability_study(
         &column.netlist,
         spec.strategy,
         &cfg,

@@ -75,7 +75,7 @@ pub struct AttackSpec {
 }
 
 /// A fault-injection campaign over the byte slice's gates
-/// ([`qdi_fi::run_campaign_parallel`]).
+/// ([`qdi_fi::run_campaign`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FiJobSpec {
     /// Slice stage to build the target netlist for: `"xor"` | `"sbox"`.
@@ -91,7 +91,7 @@ pub struct FiJobSpec {
     pub sample: Option<usize>,
 }
 
-/// A placement stability study ([`qdi_pnr::stability_study_parallel`])
+/// A placement stability study ([`qdi_pnr::stability_study`])
 /// on the AES column datapath.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PnrJobSpec {

@@ -15,7 +15,8 @@
 //! * [`pnr`] — flat and hierarchical place and route, extraction, and the
 //!   dissymmetry criterion `dA`;
 //! * [`dpa`] — selection functions, bias signals, key ranking, metrics,
-//!   and the checkpoint/resume campaign runner;
+//!   and the pool-backed trace campaigns (fail-fast, supervised, and the
+//!   resumable `.qtrs` store runner);
 //! * [`fi`] — fault-injection campaigns: fault-site enumeration, golden
 //!   run comparison, deadlock/livelock/silent-corruption classification
 //!   and per-channel detection coverage (also the `qdi-fi` binary);

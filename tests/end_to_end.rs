@@ -7,7 +7,8 @@ use qdi::analog::{SynthConfig, Trace, TraceSynthesizer};
 use qdi::core::model::CurrentModel;
 use qdi::crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi::dpa::selection::AesSboxSelect;
-use qdi::dpa::{attack, run_slice_campaign, CampaignConfig};
+use qdi::dpa::{attack, run_parallel_campaign, CampaignConfig};
+use qdi::exec::ExecConfig;
 use qdi::netlist::{cells, Channel, Netlist, NetlistBuilder};
 use qdi::sim::{Testbench, TestbenchConfig};
 
@@ -117,7 +118,7 @@ fn full_attack_recovers_key_byte_on_unbalanced_layout() {
     let key = 0xC3;
     let mut cfg = CampaignConfig::new(key);
     cfg.traces = 120;
-    let set = run_slice_campaign(&slice, &cfg).expect("campaign");
+    let set = run_parallel_campaign(&slice, &cfg, ExecConfig::serial()).expect("campaign");
     let result = attack(&set, &AesSboxSelect { byte: 0, bit: 0 });
     assert_eq!(
         result.best().guess,
@@ -135,7 +136,7 @@ fn balanced_layout_resists_the_same_attack() {
     let key = 0xC3;
     let mut cfg = CampaignConfig::new(key);
     cfg.traces = 120;
-    let set = run_slice_campaign(&slice, &cfg).expect("campaign");
+    let set = run_parallel_campaign(&slice, &cfg, ExecConfig::serial()).expect("campaign");
     let result = attack(&set, &AesSboxSelect { byte: 0, bit: 0 });
     let correct_peak = result
         .scores
@@ -148,4 +149,26 @@ fn balanced_layout_resists_the_same_attack() {
         correct_peak < 3.0 * median_peak.max(1e-12),
         "correct key must not stand out on a balanced layout: {correct_peak} vs median {median_peak}"
     );
+}
+
+#[test]
+fn noisy_campaign_is_bit_identical_at_one_and_two_workers() {
+    // The worker-count contract: per-index noise seeding makes a noisy
+    // campaign's traces independent of how many workers acquired them.
+    let slice = aes_first_round_slice("slice", SliceStage::XorOnly).expect("builds");
+    let mut cfg = CampaignConfig::full_codebook(0x42);
+    cfg.traces = 16;
+    cfg.synth.noise_sigma = 0.02;
+    let one = run_parallel_campaign(&slice, &cfg, ExecConfig::serial()).expect("1 worker");
+    let two = run_parallel_campaign(&slice, &cfg, ExecConfig { workers: 2 }).expect("2 workers");
+    assert_eq!(one.len(), 16);
+    assert_eq!(one.len(), two.len());
+    for i in 0..one.len() {
+        assert_eq!(one.input(i), two.input(i), "plaintext {i}");
+        assert_eq!(
+            one.trace(i).samples(),
+            two.trace(i).samples(),
+            "trace {i} must not depend on the worker count"
+        );
+    }
 }

@@ -4,6 +4,7 @@
 use qdi::core::{run_slice_flow, run_static_flow, FlowConfig};
 use qdi::crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi::dpa::selection::AesSboxSelect;
+use qdi::exec::ExecConfig;
 use qdi::pnr::{criterion, PnrConfig, Strategy};
 
 fn fast_cfg(strategy: Strategy, key: u8, seed: u64) -> FlowConfig {
@@ -50,6 +51,7 @@ fn flat_flow_worst_channel_varies_by_seed() {
         Strategy::Flat,
         &PnrConfig::fast(),
         &[1, 2, 3, 4, 5],
+        ExecConfig::serial(),
     );
     let names: std::collections::HashSet<&str> =
         outcomes.iter().map(|o| o.worst_channel.as_str()).collect();
