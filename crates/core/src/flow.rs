@@ -1255,12 +1255,14 @@ mod tests {
         cfg.workers = 2;
         let report = run_slice_flow(&mut slice, &sel, &cfg).expect("flow completes");
         let profile = report.layout.profile.as_ref().expect("summary embedded");
+        // Every span is a frame now, so `anneal` holds most of
+        // `pnr.place_route`'s time: look for the span in the top paths.
         assert!(
-            profile
-                .top_regions
-                .iter()
-                .any(|r| r.name == "pnr.place_route"),
-            "place-and-route region must be attributed: {:?}",
+            profile.top_regions.iter().any(|r| r
+                .path
+                .split(qdi_obs::prof::PATH_SEP)
+                .any(|f| f == "pnr.place_route")),
+            "place-and-route span must be attributed: {:?}",
             profile.top_regions
         );
         assert!(

@@ -71,7 +71,8 @@ impl BiasAccumulator {
     /// Panics if the trace grid differs from traces already accumulated
     /// (as [`Trace::add_assign`] does).
     pub fn accumulate(&mut self, selected: bool, trace: &Trace) {
-        let _prof = qdi_obs::prof::region("dpa.bias.accumulate");
+        let _prof =
+            qdi_obs::span!(qdi_obs::Level::Trace, target: "qdi_dpa::attack", "dpa.bias.accumulate");
         let (slot, n) = if selected {
             (&mut self.sum1, &mut self.n1)
         } else {

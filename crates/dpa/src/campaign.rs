@@ -104,7 +104,7 @@ pub(crate) fn acquire_trace(
     pt: u8,
     index: usize,
 ) -> Result<qdi_analog::Trace, SimError> {
-    let _prof = qdi_obs::prof::region("dpa.acquire");
+    let _prof = qdi_obs::span!(qdi_obs::Level::Trace, target: "qdi_dpa::campaign", "dpa.acquire");
     let mut tb = Testbench::new(&slice.netlist, cfg.testbench)?;
     let pbits = bit_values(pt);
     let kbits = bit_values(cfg.key);

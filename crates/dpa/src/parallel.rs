@@ -161,7 +161,8 @@ fn accumulate_shard(
     lo: usize,
     hi: usize,
 ) -> BiasAccumulator {
-    let _prof = qdi_obs::prof::region("dpa.bias.shard");
+    let _prof =
+        qdi_obs::span!(qdi_obs::Level::Trace, target: "qdi_dpa::parallel", "dpa.bias.shard");
     let mut acc = BiasAccumulator::new();
     for i in lo..hi {
         acc.accumulate(sel.select(set.input(i), guess), set.trace(i));

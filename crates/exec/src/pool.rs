@@ -8,7 +8,7 @@
 //! joins, the output is independent of the schedule — see the
 //! determinism contract in the crate docs.
 //!
-//! Observability: each run opens a `qdi_exec::pool` span recording the
+//! Observability: each run opens an `exec.pool.run` span recording the
 //! worker count, job count, steal count and per-worker job throughput;
 //! the `exec.pool.jobs` / `exec.pool.steals` counters and the
 //! `exec.pool.workers` / `exec.pool.queue_depth` gauges aggregate
@@ -127,14 +127,13 @@ where
     F: Fn(usize) -> Result<T, E> + Sync,
 {
     let workers = cfg.effective_workers(jobs);
-    let mut span = qdi_obs::span("qdi_exec::pool", "run")
+    let mut span = qdi_obs::span("qdi_exec::pool", "exec.pool.run")
         .field("jobs", jobs)
         .field("workers", workers)
         .enter();
     // Snapshot the profiler switch once per bag so a mid-run toggle
     // cannot produce half-recorded timelines.
     let profiling = qdi_obs::prof::enabled();
-    let _prof_run = qdi_obs::prof::region("exec.pool.run");
     let start = std::time::Instant::now();
     qdi_obs::metrics::gauge("exec.pool.workers").set(workers as i64);
     let depth = qdi_obs::metrics::gauge("exec.pool.queue_depth");
@@ -155,7 +154,9 @@ where
         for i in 0..jobs {
             let job_start = lane.as_ref().map(|_| elapsed_us(&start));
             let outcome = {
-                let _prof_job = qdi_obs::prof::region("exec.pool.job");
+                let _prof_job = qdi_obs::span!(
+                    qdi_obs::Level::Trace, target: "qdi_exec::pool", "exec.pool.job"
+                );
                 catch_unwind(AssertUnwindSafe(|| job(i)))
             };
             if let (Some(lane), Some(job_start)) = (lane.as_mut(), job_start) {
@@ -332,7 +333,9 @@ where
                             lane.queue_wait_us(to - from);
                         }
                         let outcome = {
-                            let _prof_job = qdi_obs::prof::region("exec.pool.job");
+                            let _prof_job = qdi_obs::span!(
+                                qdi_obs::Level::Trace, target: "qdi_exec::pool", "exec.pool.job"
+                            );
                             catch_unwind(AssertUnwindSafe(|| job(index)))
                         };
                         if let (Some(lane), Some(from)) = (lane.as_mut(), job_start) {

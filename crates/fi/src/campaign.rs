@@ -135,7 +135,7 @@ impl<'a> Injector<'a> {
 }
 
 fn campaign_span(
-    name: &str,
+    name: &'static str,
     faults: &[Fault],
     cfg: &CampaignConfig,
     exec: ExecConfig,

@@ -161,6 +161,11 @@ pub fn from_text(text: &str) -> Result<Netlist, ParseNetlistError> {
         let keyword = words.next().expect("nonempty line");
         match keyword {
             "netlist" => {
+                // A second header would start a fresh builder while the
+                // net map still resolves names into the first one.
+                if builder.is_some() {
+                    return Err(err(line_no, "repeated netlist header".into()));
+                }
                 let name = words
                     .next()
                     .ok_or_else(|| err(line_no, "netlist needs a name".into()))?;

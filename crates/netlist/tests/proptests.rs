@@ -88,6 +88,34 @@ proptest! {
         prop_assert_eq!(parsed.gate_count(), nl.gate_count());
     }
 
+    /// The text parser classifies any input: byte soup, truncated
+    /// prefixes and line-shuffled copies of valid output all end in
+    /// `Ok` or a `ParseNetlistError`, never a panic.
+    #[test]
+    fn from_text_never_panics(widths in prop::collection::vec(1usize..5, 2..5),
+                              seed in any::<u64>(),
+                              cut in any::<usize>(),
+                              shuffle_seed in any::<u64>(),
+                              soup in prop::collection::vec(any::<u8>(), 0..256)) {
+        let text = io::to_text(&random_dag(&widths, seed));
+        let prefix = &text[..cut % (text.len() + 1)];
+        let mut lines: Vec<&str> = text.lines().collect();
+        let mut state = shuffle_seed | 1;
+        for i in (1..lines.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            lines.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let shuffled = lines.join("\n");
+        for input in [prefix, shuffled.as_str(), &String::from_utf8_lossy(&soup)] {
+            let _ = io::from_text(input);
+        }
+        // A second header used to panic resolving nets into the new builder.
+        let repeated = "netlist a\nnet x input\nnet y\nnet z\nnetlist b\ngate g C in=x,y out=z\n";
+        prop_assert_eq!(io::from_text(repeated).map_err(|e| e.line).err(), Some(5));
+    }
+
     /// dual_rail_fn2 cells are glitch-freely levelizable and their output
     /// channel reports balanced symmetry except for OR-arity skew.
     #[test]

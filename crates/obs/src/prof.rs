@@ -1,44 +1,28 @@
-//! Wall-clock attribution profiler: thread-local region timers and
-//! per-worker pool timelines, merged into a `.qprof` profile.
+//! Wall-clock attribution profiler: the per-thread call tree that
+//! [`crate::span()`]s fold into, and per-worker pool timelines, merged
+//! into a `.qprof` profile.
 //!
-//! The facility answers *where the time goes* — the question spans
-//! alone cannot: spans give durations, this module gives attribution
-//! (a call-tree with self/total time per region, and per-worker
-//! busy/steal/queue-wait/idle accounting for the `qdi-exec` pool).
-//!
-//! # Disabled-cost contract
-//!
-//! Profiling is off by default. While disabled, [`region`] returns an
-//! inert guard after **one relaxed atomic load**, and dropping it is a
-//! branch on a bool — the same inert-handle idiom (and the same ~ns
-//! order of cost) as [`crate::progress`], pinned by the
-//! `prof_overhead` criterion bench. Instrumented hot paths (the
-//! simulator event loop, `.qtrs` encode/decode, pool job dispatch) pay
-//! effectively nothing in production runs.
-//!
-//! # Enabled operation
-//!
-//! Each thread accumulates its own call tree: [`region`] pushes a
-//! frame on a thread-local stack, and the guard's drop folds the
-//! elapsed time into a per-thread node table (count, total, self, min,
-//! max per `(parent, name)` node). Worker threads never contend — the
-//! only cross-thread synchronization is a per-thread mutex that
-//! [`report`] locks at merge time. The `qdi-exec` pool additionally
-//! records one [`PoolRun`] per parallel bag: per-worker lanes with job
-//! segments, steal events, queue-wait and idle totals.
+//! Profiling is off by default, and whether a span feeds the call tree
+//! is decided when it opens, by the same relaxed load of the crate's
+//! interest word that checks the `QDI_LOG` level. The disabled cost is
+//! pinned by the `prof_overhead` bench. When enabled, a span resolves
+//! its `(parent, name)` node as it opens and folds its elapsed time
+//! into the node (count, total, self, min, max) as it closes. Each
+//! thread owns its tree; the only cross-thread synchronization is a
+//! per-thread mutex that [`report`] locks at merge time. The
+//! `qdi-exec` pool also records one [`PoolRun`] per parallel bag:
+//! per-worker lanes with job segments, steals, queue-wait and idle.
 //!
 //! [`report`] merges everything into a serializable [`ProfReport`]
 //! (the `.qprof` JSON format, version [`QPROF_VERSION`]) that
 //! `qdi-mon analyze` turns into a verdict table and
 //! `qdi-mon flame` / `qdi-mon timeline` render as SVGs.
 
-use std::cell::RefCell;
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::marker::PhantomData;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -58,32 +42,36 @@ pub const MAX_LANE_SEGMENTS: usize = 512;
 /// preserved via the lane aggregates of the runs that remain.
 pub const MAX_POOL_RUNS: usize = 128;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turns the profiler on or off process-wide. Regions opened while
-/// disabled stay inert even if profiling is enabled before they close.
+/// Turns the profiler on or off process-wide. Spans opened while
+/// disabled stay out of the call tree even if profiling is enabled
+/// before they close.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    if on {
+        crate::INTEREST.fetch_or(crate::INTEREST_PROF, Ordering::Relaxed);
+    } else {
+        crate::INTEREST.fetch_and(!crate::INTEREST_PROF, Ordering::Relaxed);
+    }
 }
 
-/// Whether profiling is currently enabled (one relaxed load — this is
-/// the whole disabled-path cost of [`region`]).
+/// Whether profiling is currently enabled (one relaxed load).
 #[must_use]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    crate::INTEREST.load(Ordering::Relaxed) & crate::INTEREST_PROF != 0
 }
 
 // ---------------------------------------------------------------------------
 // Per-thread call-tree accumulation
 // ---------------------------------------------------------------------------
 
-/// Sentinel parent index for root-level nodes.
-const NO_PARENT: usize = usize::MAX;
+/// Sentinel node index: the parent of root-level nodes, and the node
+/// of a span that does not feed the profiler.
+pub(crate) const NO_NODE: usize = usize::MAX;
 
 #[derive(Debug, Clone)]
 struct NodeStat {
-    name: &'static str,
+    name: Cow<'static, str>,
     parent: usize,
+    children: Vec<usize>,
     count: u64,
     total_ns: u64,
     self_ns: u64,
@@ -91,32 +79,47 @@ struct NodeStat {
     max_ns: u64,
 }
 
+/// One thread's call tree: a node per `(parent, name)` pair, parents
+/// before children. Lookups scan a node's few children rather than
+/// hash the name on every span open.
 #[derive(Default)]
-struct ThreadNodes {
-    index: HashMap<(usize, &'static str), usize>,
+pub(crate) struct CallTree {
+    roots: Vec<usize>,
     stats: Vec<NodeStat>,
 }
 
-impl ThreadNodes {
-    fn node(&mut self, parent: usize, name: &'static str) -> usize {
-        if let Some(&i) = self.index.get(&(parent, name)) {
+impl CallTree {
+    /// The node for `name` under `parent`, created on first visit.
+    pub(crate) fn node(&mut self, parent: usize, name: Cow<'static, str>) -> usize {
+        let siblings = if parent == NO_NODE {
+            &self.roots
+        } else {
+            &self.stats[parent].children
+        };
+        if let Some(&i) = siblings.iter().find(|&&i| self.stats[i].name == name) {
             return i;
         }
         let i = self.stats.len();
         self.stats.push(NodeStat {
             name,
             parent,
+            children: Vec::new(),
             count: 0,
             total_ns: 0,
             self_ns: 0,
             min_ns: u64::MAX,
             max_ns: 0,
         });
-        self.index.insert((parent, name), i);
+        if parent == NO_NODE {
+            self.roots.push(i);
+        } else {
+            self.stats[parent].children.push(i);
+        }
         i
     }
 
-    fn close(&mut self, node: usize, dur_ns: u64, child_ns: u64) {
+    /// Folds one closed visit of `node` into its stats.
+    pub(crate) fn close(&mut self, node: usize, dur_ns: u64, child_ns: u64) {
         let stat = &mut self.stats[node];
         stat.count += 1;
         stat.total_ns += dur_ns;
@@ -126,106 +129,19 @@ impl ThreadNodes {
     }
 }
 
-struct Frame {
-    node: usize,
-    start: Instant,
-    child_ns: u64,
-}
-
-struct ThreadProf {
-    shared: Arc<Mutex<ThreadNodes>>,
-    stack: Vec<Frame>,
-}
-
-fn node_registry() -> &'static Mutex<Vec<Arc<Mutex<ThreadNodes>>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Mutex<ThreadNodes>>>>> = OnceLock::new();
+fn node_registry() -> &'static Mutex<Vec<Arc<Mutex<CallTree>>>> {
+    static REGISTRY: OnceLock<Mutex<Vec<Arc<Mutex<CallTree>>>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-thread_local! {
-    static THREAD_PROF: RefCell<Option<ThreadProf>> = const { RefCell::new(None) };
-}
-
-fn with_thread_prof<R>(f: impl FnOnce(&mut ThreadProf) -> R) -> R {
-    THREAD_PROF.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let prof = slot.get_or_insert_with(|| {
-            let shared = Arc::new(Mutex::new(ThreadNodes::default()));
-            node_registry()
-                .lock()
-                .expect("prof registry poisoned")
-                .push(shared.clone());
-            ThreadProf {
-                shared,
-                stack: Vec::new(),
-            }
-        });
-        f(prof)
-    })
-}
-
-/// RAII guard for a timed region; dropping it attributes the elapsed
-/// wall time to the region's call-tree node. Must drop on the thread
-/// that opened it (it is `!Send`, like a span guard).
-#[must_use = "dropping the region guard immediately closes it"]
-pub struct Region {
-    active: bool,
-    _not_send: PhantomData<*const ()>,
-}
-
-/// Opens a timed region. While the profiler is disabled this is one
-/// relaxed atomic load and the returned guard is inert; while enabled
-/// it pushes a frame on the thread-local region stack.
-///
-/// Region names should be short dotted identifiers (`"sim.run"`,
-/// `"qtrs.encode"`): they become frames of the folded-stack paths the
-/// flamegraph renders.
-pub fn region(name: &'static str) -> Region {
-    if !enabled() {
-        return Region {
-            active: false,
-            _not_send: PhantomData,
-        };
-    }
-    with_thread_prof(|prof| {
-        let parent = prof.stack.last().map_or(NO_PARENT, |f| f.node);
-        let node = prof
-            .shared
-            .lock()
-            .expect("prof nodes poisoned")
-            .node(parent, name);
-        prof.stack.push(Frame {
-            node,
-            start: Instant::now(),
-            child_ns: 0,
-        });
-    });
-    Region {
-        active: true,
-        _not_send: PhantomData,
-    }
-}
-
-impl Drop for Region {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        with_thread_prof(|prof| {
-            let Some(frame) = prof.stack.pop() else {
-                return; // reset() raced a live region; nothing to attribute
-            };
-            let dur_ns = u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            if let Some(parent) = prof.stack.last_mut() {
-                parent.child_ns = parent.child_ns.saturating_add(dur_ns);
-            }
-            prof.shared.lock().expect("prof nodes poisoned").close(
-                frame.node,
-                dur_ns,
-                frame.child_ns,
-            );
-        });
-    }
+/// A fresh call tree for the calling thread, registered for [`report`].
+pub(crate) fn register_thread_tree() -> Arc<Mutex<CallTree>> {
+    let tree = Arc::new(Mutex::new(CallTree::default()));
+    node_registry()
+        .lock()
+        .expect("prof registry poisoned")
+        .push(tree.clone());
+    tree
 }
 
 // ---------------------------------------------------------------------------
@@ -557,7 +473,7 @@ pub fn report() -> ProfReport {
         max_ns: u64,
     }
     let mut merged: HashMap<String, Merged> = HashMap::new();
-    let tables: Vec<Arc<Mutex<ThreadNodes>>> = node_registry()
+    let tables: Vec<Arc<Mutex<CallTree>>> = node_registry()
         .lock()
         .expect("prof registry poisoned")
         .clone();
@@ -566,7 +482,7 @@ pub fn report() -> ProfReport {
         // Resolve each node's folded path by climbing parents.
         let mut paths: Vec<String> = Vec::with_capacity(table.stats.len());
         for stat in &table.stats {
-            let path = if stat.parent == NO_PARENT {
+            let path = if stat.parent == NO_NODE {
                 stat.name.to_string()
             } else {
                 // Parents always precede children in the table.
@@ -621,8 +537,8 @@ pub fn report() -> ProfReport {
     }
 }
 
-/// Clears all accumulated region stats and pool runs (tests, between
-/// independent runs). Regions currently open keep timing and attribute
+/// Clears all accumulated call-tree stats and pool runs (tests, between
+/// independent runs). Spans currently open keep timing and attribute
 /// into the fresh tables when they close.
 pub fn reset() {
     for table in node_registry()
@@ -733,6 +649,12 @@ mod tests {
             .expect("test gate poisoned")
     }
 
+    /// A span at the level the library's hot-path spans use, so the
+    /// call tree is all that feeds on it while `QDI_LOG` is unset.
+    fn trace_span(name: &'static str) -> crate::SpanGuard {
+        crate::span_at(crate::Level::Trace, "qdi_obs::prof", name).enter()
+    }
+
     fn find<'a>(prof: &'a RegionProfile, path: &str) -> &'a RegionStat {
         prof.regions
             .iter()
@@ -741,12 +663,13 @@ mod tests {
     }
 
     #[test]
-    fn disabled_regions_are_inert() {
+    fn disabled_spans_are_inert() {
         let _gate = lock();
         set_enabled(false);
         reset();
         {
-            let _r = region("prof.test.disabled");
+            let r = trace_span("prof.test.disabled");
+            assert!(!r.is_enabled(), "nothing consumes the span");
         }
         let rep = report();
         assert!(
@@ -754,20 +677,20 @@ mod tests {
                 .regions
                 .iter()
                 .any(|r| r.path.contains("prof.test.disabled")),
-            "disabled region must not record"
+            "disabled span must not record"
         );
     }
 
     #[test]
-    fn nested_regions_attribute_self_and_total() {
+    fn nested_spans_attribute_self_and_total() {
         let _gate = lock();
         set_enabled(true);
         reset();
         {
-            let _outer = region("prof.test.outer");
+            let _outer = trace_span("prof.test.outer");
             std::thread::sleep(std::time::Duration::from_millis(2));
             {
-                let _inner = region("prof.test.inner");
+                let _inner = trace_span("prof.test.inner");
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
@@ -796,7 +719,7 @@ mod tests {
         set_enabled(true);
         reset();
         for _ in 0..5 {
-            let _r = region("prof.test.repeat");
+            let _r = trace_span("prof.test.repeat");
         }
         set_enabled(false);
         let rep = report();
@@ -816,11 +739,11 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..3 {
                 s.spawn(|| {
-                    let _r = region("prof.test.worker");
+                    let _r = trace_span("prof.test.worker");
                 });
             }
         });
-        let _r = region("prof.test.worker");
+        let _r = trace_span("prof.test.worker");
         drop(_r);
         set_enabled(false);
         let rep = report();
@@ -901,7 +824,7 @@ mod tests {
         set_enabled(true);
         reset();
         {
-            let _r = region("prof.test.roundtrip");
+            let _r = trace_span("prof.test.roundtrip");
         }
         record_pool_run(PoolRun {
             jobs: 4,
@@ -929,11 +852,11 @@ mod tests {
         set_enabled(true);
         reset();
         {
-            let _slow = region("prof.test.slow");
+            let _slow = trace_span("prof.test.slow");
             std::thread::sleep(std::time::Duration::from_millis(3));
         }
         {
-            let _fast = region("prof.test.fast");
+            let _fast = trace_span("prof.test.fast");
         }
         record_pool_run(PoolRun {
             jobs: 10,

@@ -43,7 +43,7 @@ impl Telemetry {
     /// Runs `f` as a named, timed, span-wrapped step and records it.
     pub fn step<T>(&mut self, target: &'static str, name: &str, f: impl FnOnce() -> T) -> T {
         let before = MetricsSnapshot::capture();
-        let mut span = crate::span(target, name).enter();
+        let mut span = crate::span(target, name.to_owned()).enter();
         let start = Instant::now();
         let out = f();
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;

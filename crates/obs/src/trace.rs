@@ -1,10 +1,10 @@
 //! Distributed tracing: W3C-traceparent-style context propagation and
 //! durable span records that survive process boundaries.
 //!
-//! The in-process span machinery in the crate root ([`crate::span`])
-//! stops at the process edge: its ids are a process-local counter and
-//! its records live in whatever sink the binary installed. This module
-//! adds the cross-process layer the campaign server needs:
+//! A [`crate::span()`] joins a trace through
+//! [`crate::SpanBuilder::traced`], and is then also written as a
+//! [`SpanRecord`] when it closes. This module holds the cross-process
+//! side the campaign server needs:
 //!
 //! * [`TraceContext`] — a 128-bit trace id + 64-bit span id + flags,
 //!   rendered to and parsed from the W3C `traceparent` header shape
@@ -16,24 +16,24 @@
 //!   carry a `kind` so a job resumed after `kill -9` can point its new
 //!   lease span at the pre-crash one (`kind = "resume"`) without
 //!   pretending the dead process was its parent.
-//! * [`ActiveSpan`] — the builder/guard that stamps wall-clock start
-//!   and monotonic duration and records itself on [`ActiveSpan::finish`].
 //!
 //! Timestamps are UNIX-epoch microseconds (not the process-local
 //! [`crate::now_us`] clock) precisely so spans from different processes
 //! — client, first server, restarted server — line up on one axis.
 //!
 //! Ids are minted from a SplitMix64 finalizer over wall clock, pid and
-//! a process counter: no `rand` dependency, negligible collision odds
-//! for the fleet sizes involved, and never zero (the W3C invalid
-//! value).
+//! the crate's span-id counter: no `rand` dependency, negligible
+//! collision odds for the fleet sizes involved, and never zero (the
+//! W3C invalid value).
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Mutex, OnceLock};
-use std::time::{Instant, SystemTime};
+use std::time::SystemTime;
 
 use serde::{Deserialize, Serialize};
+
+use crate::record::Fields;
 
 /// Trace flags: the context was sampled (always set by [`mint`]).
 pub const FLAG_SAMPLED: u8 = 0x01;
@@ -161,12 +161,11 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 fn entropy_word() -> u64 {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
     let nanos = SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| u64::try_from(d.as_nanos() & u128::from(u64::MAX)).unwrap_or(0))
         .unwrap_or(0);
-    let salt = COUNTER.fetch_add(1, Ordering::Relaxed);
+    let salt = crate::NEXT_ID.fetch_add(1, Ordering::Relaxed);
     mix64(
         nanos
             ^ u64::from(std::process::id()).rotate_left(32)
@@ -237,7 +236,7 @@ pub struct SpanEvent {
 
 /// One finished span, as persisted to the span JSONL file. Ids are hex
 /// strings so records stay greppable and schema-stable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
     /// Trace id, 32 hex digits.
     pub trace_id: String,
@@ -265,137 +264,53 @@ pub struct SpanRecord {
     pub events: Vec<SpanEvent>,
 }
 
-impl SpanRecord {
-    /// The span's context, for propagating onward or linking back.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description when the stored hex ids are malformed.
-    pub fn context(&self) -> Result<TraceContext, String> {
-        Ok(TraceContext {
-            trace_id: self.trace_id.parse()?,
-            span_id: self.span_id.parse()?,
-            flags: FLAG_SAMPLED,
-        })
-    }
-}
-
-fn unix_us() -> u64 {
+pub(crate) fn unix_us() -> u64 {
     SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
         .unwrap_or(0)
 }
 
-/// An open span: accumulates attributes, events and links, then stamps
-/// its duration and writes itself on [`ActiveSpan::finish`] (or on
-/// drop, so early returns and panics still leave a record).
+/// The W3C side of a traced [`crate::SpanGuard`]: its context, and
+/// the [`SpanRecord`] it is written as when it closes (on any exit
+/// path, early returns and panics included).
 #[derive(Debug)]
-pub struct ActiveSpan {
-    record: Option<SpanRecord>,
-    started: Instant,
+pub(crate) struct TracedSpan {
+    pub(crate) ctx: TraceContext,
+    pub(crate) record: SpanRecord,
 }
 
-impl ActiveSpan {
-    fn open(
-        trace_id: TraceId,
-        parent: Option<SpanId>,
-        service: impl Into<String>,
-        name: impl Into<String>,
-    ) -> ActiveSpan {
-        ActiveSpan {
-            record: Some(SpanRecord {
-                trace_id: trace_id.to_string(),
-                span_id: new_span_id().to_string(),
-                parent_id: parent.map(|p| p.to_string()),
-                links: Vec::new(),
-                service: service.into(),
-                name: name.into(),
-                start_unix_us: unix_us(),
-                dur_us: 0,
-                attrs: Vec::new(),
-                events: Vec::new(),
-            }),
-            started: Instant::now(),
-        }
+impl TracedSpan {
+    /// A span under `parent`, or the root of a fresh trace.
+    pub(crate) fn new(parent: Option<&TraceContext>) -> TracedSpan {
+        let ctx = TraceContext {
+            trace_id: parent.map_or_else(new_trace_id, |p| p.trace_id),
+            span_id: new_span_id(),
+            flags: FLAG_SAMPLED,
+        };
+        let record = SpanRecord {
+            trace_id: ctx.trace_id.to_string(),
+            span_id: ctx.span_id.to_string(),
+            parent_id: parent.map(|p| p.span_id.to_string()),
+            start_unix_us: unix_us(),
+            ..SpanRecord::default()
+        };
+        TracedSpan { ctx, record }
     }
 
-    /// Opens a root span in a brand-new trace.
-    #[must_use]
-    pub fn root(service: impl Into<String>, name: impl Into<String>) -> ActiveSpan {
-        ActiveSpan::open(new_trace_id(), None, service, name)
-    }
-
-    /// Opens a span as the child of a propagated context.
-    #[must_use]
-    pub fn child_of(
-        ctx: &TraceContext,
-        service: impl Into<String>,
-        name: impl Into<String>,
-    ) -> ActiveSpan {
-        ActiveSpan::open(ctx.trace_id, Some(ctx.span_id), service, name)
-    }
-
-    /// The context to propagate to children of this span.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called after [`ActiveSpan::finish`].
-    #[must_use]
-    pub fn context(&self) -> TraceContext {
-        let record = self.record.as_ref().expect("span already finished");
-        record.context().expect("active span ids are well-formed")
-    }
-
-    /// Attaches a `key = value` attribute.
-    pub fn set_attr(&mut self, key: &str, value: impl Into<String>) {
-        if let Some(record) = self.record.as_mut() {
-            record.attrs.push((key.to_string(), value.into()));
-        }
-    }
-
-    /// Adds a causal link (see [`SpanLink`]).
-    pub fn add_link(&mut self, ctx: &TraceContext, kind: &str) {
-        if let Some(record) = self.record.as_mut() {
-            record.links.push(SpanLink {
-                trace_id: ctx.trace_id.to_string(),
-                span_id: ctx.span_id.to_string(),
-                kind: kind.to_string(),
-            });
-        }
-    }
-
-    /// Records a point event with attributes.
-    pub fn add_event(&mut self, name: &str, attrs: &[(&str, String)]) {
-        if let Some(record) = self.record.as_mut() {
-            record.events.push(SpanEvent {
-                ts_us: unix_us(),
-                name: name.to_string(),
-                attrs: attrs
-                    .iter()
-                    .map(|(k, v)| ((*k).to_string(), v.clone()))
-                    .collect(),
-            });
-        }
-    }
-
-    /// Stamps the duration, writes the record through the global
-    /// writer, and returns it.
-    pub fn finish(mut self) -> SpanRecord {
-        self.close().expect("span already finished")
-    }
-
-    fn close(&mut self) -> Option<SpanRecord> {
-        let mut record = self.record.take()?;
-        record.dur_us = u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        write_record(&record);
-        Some(record)
-    }
-}
-
-impl Drop for ActiveSpan {
-    fn drop(&mut self) {
-        let _ = self.close();
+    /// Writes the finished span through the global writer. The service
+    /// is the target's crate in its package spelling
+    /// (`qdi_serve::runner` → `qdi-serve`); fields become attributes.
+    pub(crate) fn write(mut self, target: &str, name: &str, fields: &Fields, dur_us: u64) {
+        let crate_name = target.split("::").next().unwrap_or(target);
+        self.record.service = crate_name.replace('_', "-");
+        self.record.name = name.to_string();
+        self.record.dur_us = dur_us;
+        self.record.attrs = fields
+            .iter()
+            .map(|(k, v)| (k.clone(), v.to_string()))
+            .collect();
+        write_record(&self.record);
     }
 }
 
@@ -457,32 +372,6 @@ pub fn write_record(record: &SpanRecord) {
     {
         let _ = file.write_all(format!("{json}\n").as_bytes());
     }
-}
-
-/// Emits a zero-duration point span (scheduler enqueue/requeue marks).
-pub fn point_span(
-    ctx: &TraceContext,
-    service: &str,
-    name: &str,
-    attrs: &[(&str, String)],
-) -> SpanRecord {
-    let record = SpanRecord {
-        trace_id: ctx.trace_id.to_string(),
-        span_id: new_span_id().to_string(),
-        parent_id: Some(ctx.span_id.to_string()),
-        links: Vec::new(),
-        service: service.to_string(),
-        name: name.to_string(),
-        start_unix_us: unix_us(),
-        dur_us: 0,
-        attrs: attrs
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), v.clone()))
-            .collect(),
-        events: Vec::new(),
-    };
-    write_record(&record);
-    record
 }
 
 /// Reads span records back from a JSONL file, skipping lines that do
@@ -564,35 +453,49 @@ mod tests {
         let path = dir.join("spans.jsonl");
         set_writer(&path);
 
-        let mut root = ActiveSpan::root("qdi-client", "submit");
-        root.set_attr("job", "j000001");
-        let ctx = root.context();
-        let mut child = ActiveSpan::child_of(&ctx, "qdi-serve", "POST /v1/jobs");
+        let mut root = crate::span("qdi_client", "submit").traced(None).enter();
+        root.record("job", "j000001");
+        let ctx = root.context().expect("traced span has a context");
+        let mut child = crate::span("qdi_serve::server", "POST /v1/jobs")
+            .traced(Some(&ctx))
+            .enter();
         child.add_event("sched.enqueue", &[("tenant", "alice".to_string())]);
         let prior = mint();
         child.add_link(&prior, LINK_RESUME);
-        let child_rec = child.finish();
-        let root_rec = root.finish();
+        let child_ctx = child.context().expect("traced span has a context");
+        drop(child);
+        drop(root);
 
-        assert_eq!(child_rec.trace_id, root_rec.trace_id);
+        // Other tests share the global writer; judge only our trace.
+        let ours = |spans: &[SpanRecord]| -> Vec<SpanRecord> {
+            spans
+                .iter()
+                .filter(|s| s.trace_id == ctx.trace_id.to_string())
+                .cloned()
+                .collect()
+        };
+        let read = ours(&read_spans(&path).unwrap());
+        assert_eq!(read.len(), 2);
+        let (child_rec, root_rec) = (&read[0], &read[1]);
+        assert_eq!(child_rec.span_id, child_ctx.span_id.to_string());
+        assert_eq!(root_rec.span_id, ctx.span_id.to_string());
+        assert_eq!(
+            (root_rec.service.as_str(), root_rec.name.as_str()),
+            ("qdi-client", "submit")
+        );
+        assert_eq!(
+            root_rec.attrs,
+            vec![("job".to_string(), "j000001".to_string())]
+        );
+        assert_eq!(root_rec.parent_id, None);
+        assert_eq!(child_rec.service, "qdi-serve");
         assert_eq!(
             child_rec.parent_id.as_deref(),
             Some(root_rec.span_id.as_str())
         );
         assert_eq!(child_rec.links[0].kind, LINK_RESUME);
+        assert_eq!(child_rec.links[0].span_id, prior.span_id.to_string());
         assert_eq!(child_rec.events[0].name, "sched.enqueue");
-
-        // Other tests share the global writer; judge only our trace.
-        let ours = |spans: &[SpanRecord]| -> usize {
-            spans
-                .iter()
-                .filter(|s| s.trace_id == root_rec.trace_id)
-                .count()
-        };
-        let read = read_spans(&path).unwrap();
-        assert!(read.contains(&child_rec));
-        assert!(read.contains(&root_rec));
-        assert_eq!(ours(&read), 2);
 
         // A torn final line (kill -9 mid-append) hides only itself.
         use std::io::Write;
@@ -602,21 +505,9 @@ mod tests {
             .unwrap();
         f.write_all(b"{\"trace_id\":\"torn").unwrap();
         drop(f);
-        assert_eq!(ours(&read_spans(&path).unwrap()), 2);
+        assert_eq!(ours(&read_spans(&path).unwrap()).len(), 2);
 
         *writer_slot().lock().unwrap() = None;
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn point_spans_parent_under_the_given_context() {
-        let ctx = mint();
-        let p = point_span(&ctx, "qdi-serve", "sched.requeue", &[]);
-        assert_eq!(p.trace_id, ctx.trace_id.to_string());
-        assert_eq!(
-            p.parent_id.as_deref(),
-            Some(ctx.span_id.to_string().as_str())
-        );
-        assert_eq!(p.dur_us, 0);
     }
 }

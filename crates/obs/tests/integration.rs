@@ -158,3 +158,100 @@ fn jsonl_round_trips_every_record_kind() {
         assert_eq!(&back, record, "JSONL round-trip must be lossless");
     }
 }
+
+/// One span, three consumers: a traced span and its child, closed with
+/// the profiler on, a memory sink installed and a span writer set, must
+/// tell the call tree, the `SpanClose` records and the `SpanRecord`s
+/// the same story — names, parents and durations.
+#[test]
+fn one_span_feeds_call_tree_sinks_and_span_writer_alike() {
+    let path = std::env::temp_dir().join(format!("qdi_obs_it_spans_{}.jsonl", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    qdi_obs::trace::set_writer(&path);
+    qdi_obs::prof::reset();
+    qdi_obs::prof::set_enabled(true);
+    let mut ctx = None;
+    let records = capture(|| {
+        let parent = qdi_obs::span("obs_it::traced", "obs_it.parent")
+            .traced(None)
+            .enter();
+        ctx = parent.context();
+        let child = qdi_obs::span("obs_it::traced", "obs_it.child")
+            .traced(ctx.as_ref())
+            .enter();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        drop(child);
+    });
+    qdi_obs::prof::set_enabled(false);
+    let ctx = ctx.expect("traced span has a context");
+
+    let opens: Vec<(u64, Option<u64>, String)> = records
+        .iter()
+        .filter_map(|r| match r {
+            Record::SpanOpen {
+                id, parent, name, ..
+            } => Some((*id, *parent, name.clone())),
+            _ => None,
+        })
+        .collect();
+    let closes: Vec<(u64, String, u64)> = records
+        .iter()
+        .filter_map(|r| match r {
+            Record::SpanClose {
+                id, name, dur_us, ..
+            } => Some((*id, name.clone(), *dur_us)),
+            _ => None,
+        })
+        .collect();
+    let tree = qdi_obs::prof::report().regions;
+    let spans: Vec<qdi_obs::SpanRecord> = qdi_obs::trace::read_spans(&path)
+        .expect("span file readable")
+        .into_iter()
+        .filter(|s| s.trace_id == ctx.trace_id.to_string())
+        .collect();
+    assert_eq!(opens.len(), 2, "{records:?}");
+    assert_eq!(closes.len(), 2, "{records:?}");
+    assert_eq!(spans.len(), 2, "{spans:?}");
+
+    for (path_in_tree, name, parent_name) in [
+        ("obs_it.parent", "obs_it.parent", None),
+        (
+            "obs_it.parent;obs_it.child",
+            "obs_it.child",
+            Some("obs_it.parent"),
+        ),
+    ] {
+        let node = tree
+            .regions
+            .iter()
+            .find(|r| r.path == path_in_tree)
+            .unwrap_or_else(|| panic!("call-tree node `{path_in_tree}` missing"));
+        let &(id, parent, _) = opens.iter().find(|o| o.2 == name).expect("opened");
+        let &(_, _, dur_us) = closes.iter().find(|c| c.0 == id).expect("closed");
+        let span = spans.iter().find(|s| s.name == name).expect("written");
+
+        // One id: the record id is the span's W3C id.
+        assert_eq!(format!("{id:016x}"), span.span_id);
+        // Names and parents agree.
+        assert_eq!(node.name, name);
+        let record_parent =
+            parent.map(|p| opens.iter().find(|o| o.0 == p).expect("parent").2.as_str());
+        assert_eq!(record_parent, parent_name);
+        let written_parent = span.parent_id.as_ref().map(|p| {
+            spans
+                .iter()
+                .find(|s| &s.span_id == p)
+                .expect("parent")
+                .name
+                .as_str()
+        });
+        assert_eq!(written_parent, parent_name);
+        // Durations agree.
+        assert_eq!(node.count, 1);
+        assert_eq!(node.total_ns / 1000, dur_us, "{name}: tree vs SpanClose");
+        assert_eq!(span.dur_us, dur_us, "{name}: SpanRecord vs SpanClose");
+        assert!(dur_us >= 2000, "{name} spans the 2 ms sleep: {dur_us} µs");
+    }
+    qdi_obs::prof::reset();
+    std::fs::remove_file(&path).ok();
+}

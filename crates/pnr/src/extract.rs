@@ -11,9 +11,8 @@ use crate::PnrConfig;
 ///
 /// Panics if `lengths.len() != netlist.net_count()`.
 pub fn extract(netlist: &mut Netlist, lengths: &[f64], cfg: &PnrConfig) {
-    let _prof = qdi_obs::prof::region("pnr.extract");
     assert_eq!(lengths.len(), netlist.net_count(), "one length per net");
-    let mut span = qdi_obs::span_at(qdi_obs::Level::Debug, "qdi_pnr::extract", "extract")
+    let mut span = qdi_obs::span_at(qdi_obs::Level::Debug, "qdi_pnr::extract", "pnr.extract")
         .field("nets", lengths.len())
         .enter();
     let mut total_cap = 0.0;

@@ -149,8 +149,7 @@ pub struct PnrReport {
 /// Runs the complete flow: floorplan (hierarchical only) → placement →
 /// wirelength estimation → extraction into the netlist's net capacitances.
 pub fn place_and_route(netlist: &mut Netlist, strategy: Strategy, cfg: &PnrConfig) -> PnrReport {
-    let _prof = qdi_obs::prof::region("pnr.place_route");
-    let mut span = qdi_obs::span("qdi_pnr", "place_and_route")
+    let mut span = qdi_obs::span("qdi_pnr", "pnr.place_route")
         .field("netlist", netlist.name())
         .field("strategy", format!("{strategy:?}"))
         .field("gates", netlist.gate_count())

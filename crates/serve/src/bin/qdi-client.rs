@@ -75,17 +75,19 @@ fn main() {
             if let Some(file) = flag_value(&rest, "--trace-file") {
                 qdi_obs::trace::set_writer(file);
             }
-            let mut span = qdi_obs::trace::ActiveSpan::root("qdi-client", "submit");
-            span.set_attr("spec", path.clone());
-            let ctx = span.context();
+            let mut span = qdi_obs::span("qdi_client", "submit")
+                .traced(None)
+                .field("spec", path.as_str())
+                .enter();
+            let ctx = span.context().expect("traced span has a context");
             match client.submit_traced(&spec, Some(&ctx)) {
                 Ok(id) => {
-                    span.set_attr("job", id.clone());
+                    span.record("job", id.as_str());
                     eprintln!("trace: {}", ctx.trace_id);
                     println!("{id}");
                 }
                 Err(e) => {
-                    span.set_attr("error", e.to_string());
+                    span.record("error", e.to_string());
                     drop(span);
                     fail(e)
                 }

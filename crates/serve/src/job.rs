@@ -73,6 +73,18 @@ pub struct TraceMeta {
     pub last_lease_span: Option<String>,
 }
 
+impl TraceMeta {
+    /// The context of span `span_id` (a stored hex id) in this job's
+    /// trace; `None` when an id does not parse.
+    pub(crate) fn context(&self, span_id: &str) -> Option<qdi_obs::TraceContext> {
+        Some(qdi_obs::TraceContext {
+            trace_id: self.trace_id.parse().ok()?,
+            span_id: span_id.parse().ok()?,
+            flags: qdi_obs::trace::FLAG_SAMPLED,
+        })
+    }
+}
+
 /// The durable record — everything needed to resurrect the job after
 /// a crash. Progress counters are advisory (the checkpoint is the
 /// source of truth for resumption); they make `GET /v1/jobs` honest

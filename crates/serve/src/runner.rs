@@ -26,7 +26,8 @@ use qdi_dpa::selection::{AesSboxSelect, AesXorSelect};
 use qdi_dpa::{SelectionFunction, StoreCampaignRunner, StoreCheckpoint};
 use qdi_exec::{ExecConfig, StoreOptions, SupervisorPolicy};
 
-use qdi_obs::trace::{ActiveSpan, SpanId, TraceContext, TraceId, FLAG_SAMPLED, LINK_RESUME};
+use qdi_obs::trace::LINK_RESUME;
+use qdi_obs::SpanGuard;
 
 use crate::job::{JobHandle, JobRecord, JobState, CHECKPOINT_FILE, REPORT_FILE, STORE_FILE};
 use crate::scheduler::Scheduler;
@@ -101,32 +102,24 @@ fn quarantined_u64(indices: &[usize]) -> Vec<u64> {
 /// process that has since been killed. The new span id is persisted
 /// before any work so even a `kill -9` mid-lease leaves the link chain
 /// intact for the *next* lease. `None` for untraced jobs.
-fn open_lease_span(job: &Arc<JobHandle>, record: &JobRecord) -> Option<ActiveSpan> {
+fn open_lease_span(job: &Arc<JobHandle>, record: &JobRecord) -> Option<SpanGuard> {
     let meta = record.trace.as_ref()?;
-    let trace_id: TraceId = meta.trace_id.parse().ok()?;
-    let root_span: SpanId = meta.root_span.parse().ok()?;
-    let root = TraceContext {
-        trace_id,
-        span_id: root_span,
-        flags: FLAG_SAMPLED,
-    };
-    let mut span = ActiveSpan::child_of(&root, "qdi-serve", "lease");
-    span.set_attr("job", record.id.clone());
-    span.set_attr("tenant", record.spec.tenant.clone());
-    span.set_attr("resumes", record.resumes.to_string());
-    if let Some(prev) = meta
+    let root = meta.context(&meta.root_span)?;
+    let mut span = qdi_obs::span("qdi_serve::runner", "lease")
+        .traced(Some(&root))
+        .field("job", record.id.as_str())
+        .field("tenant", record.spec.tenant.as_str())
+        .field("resumes", record.resumes.to_string())
+        .enter();
+    if let Some(prior) = meta
         .last_lease_span
         .as_deref()
-        .and_then(|s| s.parse::<SpanId>().ok())
+        .and_then(|s| meta.context(s))
     {
-        let prior = TraceContext {
-            trace_id,
-            span_id: prev,
-            flags: FLAG_SAMPLED,
-        };
         span.add_link(&prior, LINK_RESUME);
     }
-    let _ = job.set_lease_span(&span.context().span_id.to_string());
+    let lease = span.context().expect("lease spans are traced");
+    let _ = job.set_lease_span(&lease.span_id.to_string());
     Some(span)
 }
 
@@ -149,7 +142,7 @@ pub fn run_lease(sched: &Scheduler, job: &Arc<JobHandle>) -> Disposition {
     match result {
         Ok(disposition) => {
             if let Some(span) = lease.as_mut() {
-                span.set_attr(
+                span.record(
                     "disposition",
                     match disposition {
                         Disposition::Done => "done",
@@ -161,7 +154,7 @@ pub fn run_lease(sched: &Scheduler, job: &Arc<JobHandle>) -> Disposition {
         }
         Err(message) => {
             if let Some(span) = lease.as_mut() {
-                span.set_attr("error", message.clone());
+                span.record("error", message.as_str());
             }
             let _ = job.set_state(JobState::Failed, Some(message));
             qdi_obs::metrics::counter("serve.jobs.failed").inc();
@@ -178,7 +171,7 @@ fn run_dpa(
     sched: &Scheduler,
     job: &Arc<JobHandle>,
     spec: &DpaJobSpec,
-    lease: &mut Option<ActiveSpan>,
+    lease: &mut Option<SpanGuard>,
 ) -> Result<Disposition, String> {
     let record = job.record();
     let tenant = record.spec.tenant.clone();

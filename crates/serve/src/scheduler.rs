@@ -69,28 +69,19 @@ impl Scheduler {
     }
 
     /// Queues a job (idempotence is the caller's concern). Traced jobs
-    /// get a zero-duration `sched.enqueue` mark parented under their
+    /// get an instant `sched.enqueue` mark parented under their
     /// submitting span, so waterfalls show every (re)queue — initial
     /// submit, fair-share requeue, crash recovery — on one time axis.
     pub fn enqueue(&self, job: Arc<JobHandle>) {
         let record = job.record();
-        if let Some(ctx) = record.trace.as_ref().and_then(|meta| {
-            Some(qdi_obs::trace::TraceContext {
-                trace_id: meta.trace_id.parse().ok()?,
-                span_id: meta.root_span.parse().ok()?,
-                flags: qdi_obs::trace::FLAG_SAMPLED,
-            })
-        }) {
-            qdi_obs::trace::point_span(
-                &ctx,
-                "qdi-serve",
-                "sched.enqueue",
-                &[
-                    ("job", record.id.clone()),
-                    ("tenant", record.spec.tenant.clone()),
-                    ("resumes", record.resumes.to_string()),
-                ],
-            );
+        let ctx = record.trace.as_ref().and_then(|m| m.context(&m.root_span));
+        if let Some(ctx) = ctx {
+            let _mark = qdi_obs::span("qdi_serve::scheduler", "sched.enqueue")
+                .traced(Some(&ctx))
+                .field("job", record.id.as_str())
+                .field("tenant", record.spec.tenant.as_str())
+                .field("resumes", record.resumes.to_string())
+                .enter();
         }
         let entry = QueueEntry {
             tenant: record.spec.tenant.clone(),

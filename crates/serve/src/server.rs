@@ -34,8 +34,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use qdi_obs::trace::ActiveSpan;
-
 use crate::http::{
     read_request, write_sse_event, write_sse_preamble, HttpError, Limits, Request, Response,
 };
@@ -90,7 +88,7 @@ struct ServerState {
     drain: AtomicBool,
     shutdown_requested: AtomicBool,
     next_id: AtomicU64,
-    connections: AtomicUsize,
+    connections: Arc<AtomicUsize>,
     red: RedRegistry,
 }
 
@@ -143,7 +141,7 @@ impl Server {
             drain: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
-            connections: AtomicUsize::new(0),
+            connections: Arc::new(AtomicUsize::new(0)),
             red: RedRegistry::new(),
         });
         recover_jobs(&state);
@@ -296,6 +294,24 @@ fn worker_loop(state: &Arc<ServerState>) {
     }
 }
 
+/// One counted connection, released when dropped: after the handler
+/// returns, while a handler panic unwinds, or with the spawn closure
+/// when the thread never starts.
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl ConnectionSlot {
+    fn take(count: &Arc<AtomicUsize>) -> ConnectionSlot {
+        count.fetch_add(1, Ordering::SeqCst);
+        ConnectionSlot(Arc::clone(count))
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 fn accept_loop(state: &Arc<ServerState>, listener: &TcpListener) {
     let poll = Duration::from_millis(state.cfg.poll_ms.max(1));
     loop {
@@ -310,13 +326,13 @@ fn accept_loop(state: &Arc<ServerState>, listener: &TcpListener) {
                         .write_to(&mut stream);
                     continue;
                 }
-                state.connections.fetch_add(1, Ordering::SeqCst);
+                let slot = ConnectionSlot::take(&state.connections);
                 let state = Arc::clone(state);
                 let _ = std::thread::Builder::new()
                     .name("qdi-serve-conn".into())
                     .spawn(move || {
+                        let _slot = slot;
                         handle_connection(&state, stream);
-                        state.connections.fetch_sub(1, Ordering::SeqCst);
                     });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -375,14 +391,13 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
     // One span per request: a child of the caller's traceparent when
     // one was sent, a fresh root otherwise (so server-side work is
     // traceable even from untraced clients).
-    let mut span = match request.trace_context() {
-        Some(ctx) => ActiveSpan::child_of(&ctx, "qdi-serve", route_name.clone()),
-        None => ActiveSpan::root("qdi-serve", route_name.clone()),
-    };
-    span.set_attr("http.method", request.method.clone());
-    span.set_attr("http.path", request.path.clone());
+    let mut span = qdi_obs::span("qdi_serve::server", route_name.clone())
+        .traced(request.trace_context().as_ref())
+        .field("http.method", request.method.as_str())
+        .field("http.path", request.path.as_str())
+        .enter();
     if !tenant.is_empty() {
-        span.set_attr("tenant", tenant.clone());
+        span.record("tenant", tenant.as_str());
     }
     // SSE never returns: stream events until the job ends.
     if request.method == "GET"
@@ -390,7 +405,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
         && request.path.ends_with("/events")
     {
         sse_stream(state, &mut writer, &request);
-        span.set_attr("http.status", "200");
+        span.record("http.status", "200");
         state.red.observe(
             &route_name,
             &tenant,
@@ -406,7 +421,7 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
             Response::from_error(&err)
         }
     };
-    span.set_attr("http.status", response.status.to_string());
+    span.record("http.status", response.status.to_string());
     state.red.observe(
         &route_name,
         &tenant,
@@ -425,7 +440,7 @@ fn json_ok<T: serde::Serialize>(value: &T) -> Result<Response, HttpError> {
 fn route(
     state: &Arc<ServerState>,
     request: &Request,
-    span: &mut ActiveSpan,
+    span: &mut qdi_obs::SpanGuard,
 ) -> Result<Response, HttpError> {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
@@ -503,7 +518,7 @@ fn progress_snapshot(state: &Arc<ServerState>) -> qdi_obs::progress::ProgressSna
 fn submit(
     state: &Arc<ServerState>,
     request: &Request,
-    span: &mut ActiveSpan,
+    span: &mut qdi_obs::SpanGuard,
 ) -> Result<Response, HttpError> {
     if state.drain.load(Ordering::SeqCst) {
         return Err(HttpError::new(503, "server is draining"));
@@ -534,8 +549,8 @@ fn submit(
     // the submitter's trace (when a traceparent came in) and already
     // recorded, so every future lease span — including ones emitted by
     // a different server process after a crash — parents under it.
-    let ctx = span.context();
-    span.set_attr("job", id.clone());
+    let ctx = span.context().expect("request spans are traced");
+    span.record("job", id.as_str());
     let record = JobRecord {
         id: id.clone(),
         spec,
@@ -685,5 +700,34 @@ fn sse_stream(state: &Arc<ServerState>, writer: &mut TcpStream, request: &Reques
             }
             let _ = job.wait_event(next.saturating_sub(1), Duration::from_millis(250));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn connection_slot_is_released_when_the_handler_panics() {
+        let count = Arc::new(AtomicUsize::new(0));
+        let slot = ConnectionSlot::take(&count);
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+        let handler = std::thread::spawn(move || {
+            let _slot = slot;
+            panic!("handler panicked");
+        });
+        assert!(handler.join().is_err(), "the handler thread panicked");
+        assert_eq!(count.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn connection_slot_is_released_when_the_thread_never_starts() {
+        let count = Arc::new(AtomicUsize::new(0));
+        let slot = ConnectionSlot::take(&count);
+        let never_run = move || {
+            let _slot = slot;
+        };
+        drop(never_run);
+        assert_eq!(count.load(Ordering::SeqCst), 0);
     }
 }

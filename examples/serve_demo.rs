@@ -67,13 +67,15 @@ fn main() {
     // Alice's submit travels under a client-minted trace context, so the
     // span file tells the whole story — client, edge, scheduler, runner —
     // under one trace id. CI renders it with `qdi-mon trace`.
-    let mut submit_span = qdi::obs::trace::ActiveSpan::root("qdi-client", "submit");
-    submit_span.set_attr("demo", "serve_demo");
-    let ctx = submit_span.context();
+    let mut submit_span = qdi::obs::span("qdi_client", "submit")
+        .traced(None)
+        .field("demo", "serve_demo")
+        .enter();
+    let ctx = submit_span.context().expect("traced span has a context");
     let alice = client
         .submit_traced(&spec_json, Some(&ctx))
         .expect("alice submits");
-    submit_span.set_attr("job", alice.clone());
+    submit_span.record("job", alice.as_str());
     drop(submit_span);
     let bob = client
         .submit(&serde_json::to_string(&demo_spec("bob")).expect("serializes"))
