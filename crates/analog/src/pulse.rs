@@ -91,7 +91,7 @@ impl PulseShape {
     pub fn support_ps(self, dur_ps: u64) -> u64 {
         match self {
             // 6τ = 2Δt captures > 99.7 % of the exponential's charge.
-            PulseShape::RcExponential => 2 * dur_ps.max(1),
+            PulseShape::RcExponential => dur_ps.max(1).saturating_mul(2),
             PulseShape::Triangular => dur_ps.max(1),
         }
     }
@@ -139,6 +139,7 @@ mod tests {
     fn support_covers_shape() {
         assert_eq!(PulseShape::Triangular.support_ps(50), 50);
         assert_eq!(PulseShape::RcExponential.support_ps(50), 100);
+        assert_eq!(PulseShape::RcExponential.support_ps(u64::MAX), u64::MAX);
         assert!(PulseShape::Triangular.density(51.0, 50.0) == 0.0);
     }
 }

@@ -1,12 +1,13 @@
 //! Transition-log → current-trace synthesis.
 
-#![allow(clippy::needless_range_loop)] // index loops run over parallel channel/ack arrays
-use qdi_netlist::Netlist;
+use std::marker::PhantomData;
+
+use qdi_netlist::{NetId, Netlist};
 use qdi_sim::Transition;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::pulse::{Pulse, PulseShape};
+use crate::pulse::PulseShape;
 use crate::trace::Trace;
 
 /// Parameters of the electrical synthesis.
@@ -45,11 +46,132 @@ impl SynthConfig {
             noise_sigma: 0.0,
         }
     }
+
+    /// Checks a configuration that arrives from outside the program (a
+    /// served job spec) before any trace is synthesized on `netlist`:
+    ///
+    /// * `dt_ps` is in `1..=max_support_ps`;
+    /// * `vdd_v`, `dt_k` and `input_drive_kohm` are finite and positive;
+    /// * `noise_sigma` is finite and not negative;
+    /// * no edge on `netlist` gives a pulse whose
+    ///   [`PulseShape::support_ps`] exceeds `max_support_ps`.
+    ///
+    /// The last bound caps the memory [`TraceSynthesizer::new`] spends on
+    /// its per-duration tables (DESIGN.md §4e) and the length of every
+    /// trace.
+    ///
+    /// # Errors
+    ///
+    /// A reason naming the offending field.
+    pub fn validate(&self, netlist: &Netlist, max_support_ps: u64) -> Result<(), String> {
+        if self.dt_ps == 0 || self.dt_ps > max_support_ps {
+            return Err(format!(
+                "synth.dt_ps must be in 1..={max_support_ps}, got {}",
+                self.dt_ps
+            ));
+        }
+        for (field, v) in [
+            ("vdd_v", self.vdd_v),
+            ("dt_k", self.dt_k),
+            ("input_drive_kohm", self.input_drive_kohm),
+        ] {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(format!("synth.{field} must be finite and > 0, got {v}"));
+            }
+        }
+        if !(self.noise_sigma.is_finite() && self.noise_sigma >= 0.0) {
+            return Err(format!(
+                "synth.noise_sigma must be finite and >= 0, got {}",
+                self.noise_sigma
+            ));
+        }
+        // Gate-driven pulses scale with `dt_k` alone, environment-driven
+        // ones with `dt_k · input_drive_kohm`: checking gate-driven nets
+        // first names the field that is actually out of range.
+        for (field, gate_driven) in [("dt_k", true), ("input_drive_kohm", false)] {
+            for net in netlist.nets().filter(|n| n.driver.is_some() == gate_driven) {
+                let support = self.shape.support_ps(self.pulse_of(netlist, net.id).1);
+                if support > max_support_ps {
+                    return Err(format!(
+                        "synth.{field}: net {} gets a {support} ps pulse, above the {max_support_ps} ps limit",
+                        net.name
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Charge (fC) and duration `Δt` (ps) of one edge on `net`.
+    fn pulse_of(&self, netlist: &Netlist, net: NetId) -> (f64, u64) {
+        let (c_ff, r_kohm) = match netlist.net(net).driver {
+            Some(gate) => (
+                netlist.switched_cap_ff(gate),
+                netlist.gate(gate).params.drive_res_kohm,
+            ),
+            None => (netlist.total_load_ff(net), self.input_drive_kohm),
+        };
+        let charge = c_ff * self.vdd_v;
+        let dur = (self.dt_k * r_kohm * c_ff).max(1.0).round() as u64;
+        (charge, dur)
+    }
 }
 
 impl Default for SynthConfig {
     fn default() -> Self {
         SynthConfig::new()
+    }
+}
+
+/// The pulse of every edge on one net: fixed by the netlist for the
+/// synthesizer's lifetime.
+#[derive(Debug, Clone, Copy)]
+struct NetPulse {
+    charge_fc: f64,
+    /// Index into [`TraceSynthesizer::classes`].
+    class: usize,
+}
+
+/// Everything that depends on a pulse duration `Δt` alone, shared by
+/// every net with that duration.
+#[derive(Debug, Clone)]
+struct DurationClass {
+    dur_ps: u64,
+    support_ps: u64,
+    /// `cdf[r] = shape.cdf(r, Δt)` for integer `r` from 0 up to `S_max`,
+    /// or up to `dt − 1` past the first `r` where it reaches 1.0, whichever
+    /// is first. A pulse's bins step by `dt` and stop at the first CDF of
+    /// 1.0, so they never read past that.
+    cdf: Vec<f64>,
+}
+
+impl DurationClass {
+    fn new(shape: PulseShape, dur_ps: u64, dt_ps: u64, s_max: u64) -> Self {
+        let dur = dur_ps as f64;
+        let mut cdf = vec![0.0];
+        let mut last = s_max;
+        let mut r = 1;
+        while r <= last {
+            let c = shape.cdf(r as f64, dur);
+            if c >= 1.0 {
+                last = last.min(r.saturating_add(dt_ps.saturating_sub(1)));
+            }
+            cdf.push(c);
+            r += 1;
+        }
+        DurationClass {
+            dur_ps,
+            support_ps: shape.support_ps(dur_ps),
+            cdf,
+        }
+    }
+
+    /// `shape.cdf(rel_ps, Δt)`, from the table when it covers `rel_ps`.
+    fn cdf(&self, shape: PulseShape, rel_ps: u64) -> f64 {
+        match self.cdf.get(rel_ps as usize) {
+            Some(&c) => c,
+            None => shape.cdf(rel_ps as f64, self.dur_ps as f64),
+        }
     }
 }
 
@@ -60,23 +182,59 @@ impl Default for SynthConfig {
 /// capacitance alone for environment-driven nets), spread over
 /// `Δt = k·R·C`. Both rising and falling edges draw supply/ground current
 /// of the same polarity, as a current probe on the power pins sees.
+///
+/// Charge and `Δt` are fixed per net, so [`TraceSynthesizer::new`]
+/// computes them once, with one CDF table per distinct `Δt`; a trace is
+/// bit-identical to folding [`Trace::add_pulse`] over the log (DESIGN.md
+/// §4e).
 #[derive(Debug, Clone)]
 pub struct TraceSynthesizer<'a> {
-    netlist: &'a Netlist,
     cfg: SynthConfig,
+    /// Indexed by [`NetId::index`].
+    nets: Vec<NetPulse>,
+    classes: Vec<DurationClass>,
     /// Metric handles resolved once per synthesizer, not per trace.
     pulses_metric: qdi_obs::metrics::Counter,
     samples_metric: qdi_obs::metrics::Counter,
+    _netlist: PhantomData<&'a Netlist>,
 }
 
 impl<'a> TraceSynthesizer<'a> {
     /// Creates a synthesizer for `netlist`.
     pub fn new(netlist: &'a Netlist, cfg: SynthConfig) -> Self {
+        let pulses: Vec<(f64, u64)> = netlist
+            .nets()
+            .map(|net| cfg.pulse_of(netlist, net.id))
+            .collect();
+        let mut durations: Vec<u64> = pulses.iter().map(|&(_, dur)| dur).collect();
+        durations.sort_unstable();
+        durations.dedup();
+        // For a time-ordered log no bin ends more than the longest support
+        // plus two sample periods after its pulse starts (DESIGN.md §4e).
+        let s_max = durations
+            .last()
+            .map_or(0, |&dur| cfg.shape.support_ps(dur))
+            .saturating_add(cfg.dt_ps.saturating_mul(2));
+        let classes = durations
+            .iter()
+            .map(|&dur| DurationClass::new(cfg.shape, dur, cfg.dt_ps, s_max))
+            .collect();
+        let nets = pulses
+            .into_iter()
+            .map(|(charge_fc, dur)| NetPulse {
+                charge_fc,
+                class: durations
+                    .binary_search(&dur)
+                    .expect("every duration is listed"),
+            })
+            .collect();
         TraceSynthesizer {
-            netlist,
             cfg,
+            nets,
+            classes,
             pulses_metric: qdi_obs::metrics::counter("analog.pulses"),
             samples_metric: qdi_obs::metrics::counter("analog.samples"),
+            _netlist: PhantomData,
         }
     }
 
@@ -85,34 +243,32 @@ impl<'a> TraceSynthesizer<'a> {
         &self.cfg
     }
 
-    /// Charge (fC) and duration (ps) of one edge on `net`.
-    fn pulse_params(&self, t: &Transition) -> (f64, u64) {
-        let net = self.netlist.net(t.net);
-        let (c_ff, r_kohm) = match net.driver {
-            Some(gate) => (
-                self.netlist.switched_cap_ff(gate),
-                self.netlist.gate(gate).params.drive_res_kohm,
-            ),
-            None => (self.netlist.total_load_ff(t.net), self.cfg.input_drive_kohm),
-        };
-        let charge = c_ff * self.cfg.vdd_v;
-        let dur = (self.cfg.dt_k * r_kohm * c_ff).max(1.0).round() as u64;
-        (charge, dur)
-    }
-
     /// Synthesizes a noiseless trace from a transition log.
     pub fn synthesize(&self, transitions: &[Transition]) -> Trace {
-        let mut trace = Trace::zeros(0, self.cfg.dt_ps, 1);
+        let _span =
+            qdi_obs::span!(qdi_obs::Level::Trace, target: "qdi_analog::synth", "analog.synth");
+        let dt = self.cfg.dt_ps;
+        let dt_f = dt as f64;
+        let shape = self.cfg.shape;
+        let mut trace = Trace::zeros(0, dt, 1);
         for t in transitions {
-            let (charge_fc, dur_ps) = self.pulse_params(t);
-            trace.add_pulse(
-                Pulse {
-                    t0_ps: t.time_ps,
-                    charge_fc,
-                    dur_ps,
-                },
-                self.cfg.shape,
-            );
+            let net = self.nets[t.net.index()];
+            let class = &self.classes[net.class];
+            // `Trace::add_pulse` with the table in place of `shape.cdf`:
+            // same bins, same f64 expression, same early exit.
+            trace.extend_to(t.time_ps + class.support_ps + dt);
+            let start = (t.time_ps / dt) as usize;
+            let mut rel = (start as u64 + 1) * dt - t.time_ps;
+            let mut prev_cdf = 0.0;
+            for s in &mut trace.samples_mut()[start..] {
+                let cdf = class.cdf(shape, rel);
+                *s += net.charge_fc * (cdf - prev_cdf) / dt_f;
+                prev_cdf = cdf;
+                if cdf >= 1.0 {
+                    break;
+                }
+                rel += dt;
+            }
         }
         self.pulses_metric.add(transitions.len() as u64);
         self.samples_metric.add(trace.len() as u64);
@@ -128,6 +284,8 @@ impl<'a> TraceSynthesizer<'a> {
     /// [`SynthConfig::noise_sigma`].
     pub fn synthesize_noisy<R: Rng>(&self, transitions: &[Transition], rng: &mut R) -> Trace {
         let mut trace = self.synthesize(transitions);
+        let _span =
+            qdi_obs::span!(qdi_obs::Level::Trace, target: "qdi_analog::synth", "analog.noise");
         trace.add_gaussian_noise(rng, self.cfg.noise_sigma);
         trace
     }
@@ -236,6 +394,29 @@ mod tests {
         let noisy = synth.synthesize_noisy(&log, &mut rng);
         assert_eq!(clean.len(), noisy.len());
         assert!(clean.samples() != noisy.samples());
+    }
+
+    #[test]
+    fn validate_names_the_field_behind_an_oversized_pulse() {
+        let (nl, ..) = xor_netlist();
+        let ok = SynthConfig::default();
+        assert_eq!(ok.validate(&nl, 1000), Ok(()));
+        for dt_k in [1e3, 1e300] {
+            let slope = SynthConfig { dt_k, ..ok };
+            let err = slope.validate(&nl, 1000).expect_err("too long");
+            assert!(err.starts_with("synth.dt_k:"), "{err}");
+        }
+        let drive = SynthConfig {
+            input_drive_kohm: 1e3,
+            ..ok
+        };
+        let err = drive.validate(&nl, 1000).expect_err("too long");
+        assert!(err.starts_with("synth.input_drive_kohm:"), "{err}");
+        let nan = SynthConfig {
+            noise_sigma: f64::NAN,
+            ..ok
+        };
+        assert!(nan.validate(&nl, 1000).is_err());
     }
 
     #[test]

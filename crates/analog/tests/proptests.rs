@@ -2,7 +2,10 @@
 
 use proptest::prelude::*;
 
-use qdi_analog::{power, Pulse, PulseShape, Trace};
+use qdi_analog::{power, Pulse, PulseShape, SynthConfig, Trace, TraceSynthesizer};
+use qdi_netlist::{cells, NetId, Netlist, NetlistBuilder};
+use qdi_sim::Transition;
+use rand::{Rng, SeedableRng};
 
 fn arb_pulse() -> impl Strategy<Value = Pulse> {
     (0u64..2000, 0.1f64..50.0, 1u64..300).prop_map(|(t0_ps, charge_fc, dur_ps)| Pulse {
@@ -12,8 +15,84 @@ fn arb_pulse() -> impl Strategy<Value = Pulse> {
     })
 }
 
+/// The dual-rail XOR cell with every routing capacitance drawn
+/// log-uniformly from 1–160 fF, the spread extraction gives a slice.
+fn xor_with_caps(caps: &[f64]) -> Netlist {
+    let mut b = NetlistBuilder::new("xor");
+    let a = b.input_channel("a", 2);
+    let bb = b.input_channel("b", 2);
+    let ack = b.input_net("ack");
+    let cell = cells::dual_rail_xor(&mut b, "x", &a, &bb, ack);
+    b.connect_input_acks(&[a.id, bb.id], cell.ack_to_senders);
+    b.output_channel("co", &cell.out.rails.clone(), ack);
+    let mut nl = b.finish().expect("valid");
+    for i in 0..nl.net_count() {
+        nl.set_routing_cap(NetId::from_raw(i as u32), 160f64.powf(caps[i % caps.len()]));
+    }
+    nl
+}
+
+/// The synthesis reference: [`Trace::add_pulse`] folded over the log,
+/// with each edge's charge and duration computed from the netlist.
+fn add_pulse_reference(nl: &Netlist, cfg: &SynthConfig, log: &[Transition]) -> Trace {
+    let mut trace = Trace::zeros(0, cfg.dt_ps, 1);
+    for t in log {
+        let net = nl.net(t.net);
+        let (c_ff, r_kohm) = match net.driver {
+            Some(g) => (nl.switched_cap_ff(g), nl.gate(g).params.drive_res_kohm),
+            None => (nl.total_load_ff(t.net), cfg.input_drive_kohm),
+        };
+        let pulse = Pulse {
+            t0_ps: t.time_ps,
+            charge_fc: c_ff * cfg.vdd_v,
+            dur_ps: (cfg.dt_k * r_kohm * c_ff).max(1.0).round() as u64,
+        };
+        trace.add_pulse(pulse, cfg.shape);
+    }
+    trace
+}
+
+fn bits(trace: &Trace) -> Vec<u64> {
+    trace.samples().iter().map(|s| s.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The table-driven synthesizer is bit-identical to the reference, on
+    /// time-ordered logs (what the simulator emits) and on shuffled ones,
+    /// whose late bins fall past the tables.
+    #[test]
+    fn synthesize_matches_add_pulse_bit_for_bit(
+        caps in prop::collection::vec(0.0f64..1.0, 24..25),
+        edges in prop::collection::vec((0u64..64, 0u64..4000), 1..60),
+        triangular in any::<bool>(),
+        dt_pick in 0usize..3,
+        shuffle_seed in any::<u64>(),
+    ) {
+        let nl = xor_with_caps(&caps);
+        let cfg = SynthConfig {
+            dt_ps: [1, 7, 10][dt_pick],
+            shape: if triangular { PulseShape::Triangular } else { PulseShape::RcExponential },
+            ..SynthConfig::default()
+        };
+        let mut log: Vec<Transition> = edges
+            .iter()
+            .map(|&(net, time_ps)| Transition {
+                time_ps,
+                net: NetId::from_raw((net % nl.net_count() as u64) as u32),
+                rising: net % 2 == 0,
+            })
+            .collect();
+        log.sort_by_key(|t| t.time_ps);
+        let synth = TraceSynthesizer::new(&nl, cfg);
+        prop_assert_eq!(bits(&synth.synthesize(&log)), bits(&add_pulse_reference(&nl, &cfg, &log)));
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(shuffle_seed);
+        for i in (1..log.len()).rev() {
+            log.swap(i, rng.gen_range(0..=i));
+        }
+        prop_assert_eq!(bits(&synth.synthesize(&log)), bits(&add_pulse_reference(&nl, &cfg, &log)));
+    }
 
     /// Superposition: the charge of a sum of pulses is the sum of their
     /// charges, whatever the overlaps.

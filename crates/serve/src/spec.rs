@@ -8,10 +8,14 @@
 //! re-interprets science parameters. Everything else here is service
 //! metadata: tenant, priority class, display name.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use qdi_core::FlowConfig;
+use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi_dpa::{CampaignConfig, ResilienceConfig};
+use qdi_netlist::Netlist;
 
 /// Scheduling priority *within* one tenant's queue. Fair sharing
 /// across tenants always dominates: a tenant cannot jump another
@@ -144,6 +148,21 @@ pub struct JobSpec {
 /// Upper bound on `campaign.traces` a single job may request.
 pub const MAX_TRACES: usize = 1_000_000;
 
+/// Upper bound, ps, on the longest pulse support
+/// ([`qdi_analog::PulseShape::support_ps`]) a job's `campaign.synth` may
+/// give on its stage slice, and on its sample period `dt_ps`.
+///
+/// It caps what [`qdi_analog::TraceSynthesizer::new`] allocates before
+/// the first trace, outside the per-trace supervisor: one CDF table per
+/// distinct pulse duration, each at most `S_max + 1` entries of 8 bytes,
+/// where `S_max = longest support + 2·dt_ps ≤ 3 × 40 000 ps`. The
+/// `"sbox"` slice has 13 distinct durations (4 on `"xor"`), from the
+/// default `dt_k` up to the largest one admitted here, so its tables
+/// stay within 13 × 120 001 × 8 B ≈ 12.5 MB (10.6 MB measured at the
+/// largest admitted `dt_k` and `dt_ps`). The default config's longest
+/// support is 480 ps on `"sbox"` and 128 ps on `"xor"`.
+pub const MAX_PULSE_SUPPORT_PS: u64 = 40_000;
+
 fn valid_tenant(tenant: &str) -> bool {
     !tenant.is_empty()
         && tenant.len() <= 64
@@ -156,10 +175,31 @@ fn valid_stage(stage: &str) -> bool {
     matches!(stage, "xor" | "sbox")
 }
 
+/// The netlist a valid DPA `stage` runs on, built once per process so
+/// that validating a spec does not rebuild it.
+fn stage_netlist(stage: &str) -> &'static Netlist {
+    static XOR: OnceLock<Netlist> = OnceLock::new();
+    static SBOX: OnceLock<Netlist> = OnceLock::new();
+    let (cell, slice_stage) = match stage {
+        "xor" => (&XOR, SliceStage::XorOnly),
+        // `valid_stage` admits only "xor" and "sbox".
+        _ => (&SBOX, SliceStage::XorSbox),
+    };
+    cell.get_or_init(|| {
+        aes_first_round_slice("serve", slice_stage)
+            .expect("the generated first-round slices are valid")
+            .netlist
+    })
+}
+
 impl JobSpec {
     /// Validates service-level invariants (tenant charset, stage names,
-    /// bounded trace/seed counts). Science parameters are left to the
-    /// library layer, which reports its own errors.
+    /// bounded trace/seed counts) and a DPA job's synthesis parameters
+    /// ([`qdi_analog::SynthConfig::validate`] against
+    /// [`MAX_PULSE_SUPPORT_PS`]), which would otherwise fail every trace
+    /// or allocate without bound before the first. Other science
+    /// parameters are left to the library layer, which reports its own
+    /// errors.
     ///
     /// # Errors
     ///
@@ -187,6 +227,9 @@ impl JobSpec {
                         dpa.campaign.traces
                     ));
                 }
+                dpa.campaign
+                    .synth
+                    .validate(stage_netlist(&dpa.stage), MAX_PULSE_SUPPORT_PS)?;
                 if dpa.exec_workers == Some(0) {
                     return Err("exec_workers must be at least 1".into());
                 }

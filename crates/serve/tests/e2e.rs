@@ -249,6 +249,66 @@ fn invalid_specs_are_rejected_without_side_effects() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Submits a DPA spec whose synthesis config `bad` corrupts and checks
+/// the 422 names `field` and that no job was created, so none can reach
+/// a worker.
+fn assert_synth_rejected(tag: &str, field: &str, bad: impl FnOnce(&mut qdi_analog::SynthConfig)) {
+    let dir = tmp_dir(tag);
+    std::fs::remove_dir_all(&dir).ok();
+    let server = Server::start(ServeConfig::new(&dir)).expect("server starts");
+    let client = ServeClient::new(format!("http://{}", server.local_addr()));
+    let mut spec = dpa_spec("synth", 1, 8);
+    if let JobKind::Dpa(dpa) = &mut spec.kind {
+        bad(&mut dpa.campaign.synth);
+    }
+    let err = client
+        .submit(&serde_json::to_string(&spec).expect("serializes"))
+        .expect_err("must reject");
+    assert_eq!(err.status, 422, "{}", err.message);
+    assert!(
+        err.message.contains(&format!("synth.{field}")),
+        "the 422 must name synth.{field}: {}",
+        err.message
+    );
+    // The first job id is only taken after validation.
+    assert_eq!(client.status("j000000").expect_err("no job").status, 404);
+    assert!(!dir.join("tenants").exists(), "no artifact dir created");
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn zero_sample_period_is_rejected_at_submit() {
+    assert_synth_rejected("dt_ps", "dt_ps", |s| s.dt_ps = 0);
+}
+
+#[test]
+fn nonpositive_supply_is_rejected_at_submit() {
+    assert_synth_rejected("vdd", "vdd_v", |s| s.vdd_v = 0.0);
+}
+
+#[test]
+fn negative_slope_is_rejected_at_submit() {
+    assert_synth_rejected("dt_k", "dt_k", |s| s.dt_k = -0.6);
+}
+
+#[test]
+fn nonpositive_input_drive_is_rejected_at_submit() {
+    assert_synth_rejected("drive", "input_drive_kohm", |s| s.input_drive_kohm = 0.0);
+}
+
+#[test]
+fn negative_noise_is_rejected_at_submit() {
+    assert_synth_rejected("noise", "noise_sigma", |s| s.noise_sigma = -0.05);
+}
+
+#[test]
+fn pulses_past_the_support_limit_are_rejected_at_submit() {
+    // Finite and positive, but every pulse would span milliseconds and
+    // the synthesizer's tables gigabytes.
+    assert_synth_rejected("support", "dt_k", |s| s.dt_k = 1e6);
+}
+
 #[test]
 fn cancel_parks_the_campaign_promptly() {
     let dir = tmp_dir("cancel");

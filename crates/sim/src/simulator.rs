@@ -13,6 +13,9 @@ use crate::fault::{FaultKind, FaultPlan, FaultSite};
 /// Simulation time in picoseconds.
 pub type TimePs = u64;
 
+/// Widest gate whose inputs [`Simulator`] evaluates without allocating.
+const EVAL_BUF: usize = 8;
+
 /// Failure-detection knobs for the simulator's quiescence watchdog.
 ///
 /// When the event budget runs out, the watchdog fingerprints the tail of
@@ -410,8 +413,8 @@ impl<'a> Simulator<'a> {
             net,
             rising: value,
         });
-        let loads = self.netlist.net(net).loads.clone();
-        for load in loads {
+        let netlist = self.netlist;
+        for &load in &netlist.net(net).loads {
             self.evaluate_gate(load);
         }
     }
@@ -457,9 +460,19 @@ impl<'a> Simulator<'a> {
         if self.forced[out.index()].is_some() {
             return; // a stuck-at/glitch fault overpowers the gate's drive
         }
-        let inputs: Vec<bool> = g.inputs.iter().map(|&n| self.level(n)).collect();
         let prev = self.level(out);
-        let newv = g.kind.eval(&inputs, prev);
+        // Inputs go through a stack buffer: this runs once per fanout
+        // gate of every event, and only unusually wide gates allocate.
+        let mut buf = [false; EVAL_BUF];
+        let newv = if g.inputs.len() <= EVAL_BUF {
+            for (slot, &n) in buf.iter_mut().zip(&g.inputs) {
+                *slot = self.level(n);
+            }
+            g.kind.eval(&buf[..g.inputs.len()], prev)
+        } else {
+            let inputs: Vec<bool> = g.inputs.iter().map(|&n| self.level(n)).collect();
+            g.kind.eval(&inputs, prev)
+        };
         if newv == self.effective(out) {
             return;
         }
@@ -591,8 +604,8 @@ impl<'a> Simulator<'a> {
                 net: ev.net,
                 rising: ev.value,
             });
-            let loads = self.netlist.net(ev.net).loads.clone();
-            for load in loads {
+            let netlist = self.netlist;
+            for &load in &netlist.net(ev.net).loads {
                 self.evaluate_gate(load);
             }
         }
@@ -732,6 +745,49 @@ mod tests {
         sim.run_until_quiescent(1000).expect("run");
         assert!(!sim.level(y));
         assert_eq!(sim.transitions().len(), 2 + 1 + 1 + 1); // a↑ b↑ y↑ a↓ y↓
+    }
+
+    #[test]
+    fn gates_wider_than_the_eval_buffer_evaluate() {
+        const WIDTH: usize = EVAL_BUF + 4;
+        let mut b = NetlistBuilder::new("wide");
+        let ins: Vec<NetId> = (0..WIDTH).map(|i| b.input_net(format!("i{i}"))).collect();
+        let or = b.gate(GateKind::Or, "or", &ins);
+        let c = b.gate(GateKind::Muller, "c", &ins);
+        b.mark_output(or);
+        b.mark_output(c);
+        let nl = b.finish().expect("valid");
+        let (or, c) = (nl.find_net("or").expect("or"), nl.find_net("c").expect("c"));
+        let ins: Vec<NetId> = (0..WIDTH)
+            .map(|i| nl.find_net(&format!("i{i}")).expect("input"))
+            .collect();
+        let mut sim = Simulator::new(&nl, ConstantDelay::new(5));
+        sim.settle(100).expect("settle");
+        // Only the last input high: past the buffer, so the Vec path must
+        // still see it.
+        sim.drive(ins[WIDTH - 1], true, 1);
+        sim.run_until_quiescent(100).expect("run");
+        assert!(sim.level(or), "OR sees its last input");
+        assert!(!sim.level(c), "C waits for every input");
+        for &i in &ins {
+            sim.drive(i, true, 1);
+        }
+        sim.run_until_quiescent(100).expect("run");
+        assert!(sim.level(c), "C rises once all inputs are high");
+        for &i in &ins[..WIDTH - 1] {
+            sim.drive(i, false, 1);
+        }
+        sim.run_until_quiescent(100).expect("run");
+        assert!(
+            sim.level(or) && sim.level(c),
+            "OR and C hold on the last input"
+        );
+        sim.drive(ins[WIDTH - 1], false, 1);
+        sim.run_until_quiescent(100).expect("run");
+        assert!(
+            !sim.level(or) && !sim.level(c),
+            "both fall with every input low"
+        );
     }
 
     #[test]

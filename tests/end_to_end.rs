@@ -172,3 +172,41 @@ fn noisy_campaign_is_bit_identical_at_one_and_two_workers() {
         );
     }
 }
+
+/// FNV-1a over the bit pattern of every sample, in campaign order.
+fn sample_digest(set: &qdi::dpa::TraceSet) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (_, trace) in set.iter() {
+        for s in trace.samples() {
+            for b in s.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn skewed_sbox_campaign_samples_match_their_pinned_digest() {
+    // The traces themselves are a contract: a speed-up of simulation or
+    // synthesis must not move a single bit. The digest was recorded with
+    // the straightforward `Trace::add_pulse` synthesis.
+    const DIGEST: u64 = 0x2452_DE57_E170_6ECC;
+    let mut slice = aes_first_round_slice("s", SliceStage::XorSbox).expect("builds");
+    let rail = slice.netlist.find_net("sb.b0.h1").expect("skewed rail");
+    slice.netlist.set_routing_cap(rail, 40.0);
+    let mut cfg = CampaignConfig::full_codebook(0x6B);
+    cfg.traces = 32;
+    cfg.seed = 7;
+    cfg.synth.noise_sigma = 0.05;
+    for workers in [1, 2] {
+        let set = run_parallel_campaign(&slice, &cfg, ExecConfig { workers }).expect("runs");
+        assert_eq!(set.len(), 32);
+        assert_eq!(
+            sample_digest(&set),
+            DIGEST,
+            "{workers}-worker sample digest"
+        );
+    }
+}
