@@ -7,7 +7,7 @@ use qdi_bench::XorFixture;
 use qdi_crypto::gatelevel::bit_values;
 use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi_dpa::selection::AesSboxSelect;
-use qdi_dpa::{bias_signal, run_parallel_campaign, CampaignConfig};
+use qdi_dpa::{parallel_bias_signal, run_parallel_campaign, CampaignConfig};
 use qdi_exec::ExecConfig;
 use qdi_pnr::{place, PnrConfig};
 use qdi_sim::Testbench;
@@ -71,7 +71,9 @@ fn bench_bias_computation(c: &mut Criterion) {
     let set = run_parallel_campaign(&slice, &cfg, ExecConfig::serial()).expect("runs");
     let sel = AesSboxSelect { byte: 0, bit: 0 };
     c.bench_function("bias_signal_64_traces", |b| {
-        b.iter(|| std::hint::black_box(bias_signal(&set, &sel, 0x42)))
+        b.iter(|| {
+            std::hint::black_box(parallel_bias_signal(&set, &sel, 0x42, ExecConfig::serial()))
+        })
     });
 }
 

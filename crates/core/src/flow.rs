@@ -31,7 +31,7 @@
 use std::fmt;
 
 use qdi_crypto::gatelevel::slice::AesByteSlice;
-use qdi_dpa::{attack, campaign, selection::SelectionFunction, AttackResult};
+use qdi_dpa::{campaign, parallel_attack, selection::SelectionFunction, AttackResult};
 use qdi_lint::{LintConfig, LintReport, Registry};
 use qdi_netlist::Netlist;
 use qdi_pnr::{criterion, place_and_route, ChannelCriterion, PnrConfig, Strategy};
@@ -739,9 +739,9 @@ pub fn run_slice_flow(
             },
         }
     };
-    let result = layout
-        .telemetry
-        .step("qdi_core::flow", "attack", || attack(&set, sel));
+    let result = layout.telemetry.step("qdi_core::flow", "attack", || {
+        parallel_attack(&set, sel, exec)
+    });
     layout.steps.push(StepOutcome::completed("attack"));
     if cfg.timeseries {
         qdi_obs::timeseries::tick();
@@ -966,7 +966,7 @@ mod tests {
     #[test]
     fn slice_flow_parallel_campaign_is_worker_count_invariant() {
         let sel = AesXorSelect { byte: 0, bit: 0 };
-        let mut best = Vec::new();
+        let mut rankings = Vec::new();
         for workers in [1usize, 2, 4] {
             let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
             let mut cfg = fast_cfg(Strategy::Flat, 0x42);
@@ -977,12 +977,14 @@ mod tests {
             let report = run_slice_flow(&mut slice, &sel, &cfg).expect("flow completes");
             let attack = report.attack.as_ref().expect("attack ran");
             assert_eq!(attack.traces, 24);
-            best.push((attack.best().guess, attack.best().peak_abs));
+            rankings.push(attack.scores.clone());
         }
-        for (workers, b) in [2, 4].into_iter().zip(&best[1..]) {
+        // The attack runs on the same pool, so every guess's score — not
+        // only the best — must match.
+        for (workers, scores) in [2, 4].into_iter().zip(&rankings[1..]) {
             assert_eq!(
-                best[0], *b,
-                "campaign results at {workers} workers must match 1 worker"
+                rankings[0], *scores,
+                "attack scores at {workers} workers must match 1 worker"
             );
         }
     }

@@ -1,54 +1,28 @@
-//! Partitioning, averaging, bias signals and key ranking (eqs. 7–9).
+//! The bias accumulator (eqs. 7–9), guess scores and multi-bit
+//! combination. Bias signals and single-bit rankings come from the one
+//! engine in [`crate::parallel`].
 
 use qdi_analog::Trace;
+use qdi_exec::ExecConfig;
 use serde::{Deserialize, Serialize};
 
+use crate::parallel::parallel_attack_windowed;
 use crate::selection::SelectionFunction;
 use crate::traceset::TraceSet;
 
-/// Computes the DPA bias signal `T = A0 − A1` for one key guess:
-/// traces are split by `D(input, guess)` (eq. 7), each set is averaged
-/// (eq. 8) and the averages are differenced (eq. 9).
-///
-/// Returns `None` when either set is empty (the guess cannot be scored
-/// with this trace set).
-pub fn bias_signal(set: &TraceSet, sel: &dyn SelectionFunction, guess: u16) -> Option<Trace> {
-    let mut s0: Vec<&Trace> = Vec::new();
-    let mut s1: Vec<&Trace> = Vec::new();
-    for (input, trace) in set.iter() {
-        if sel.select(input, guess) {
-            s1.push(trace);
-        } else {
-            s0.push(trace);
-        }
-    }
-    if s0.is_empty() || s1.is_empty() {
-        qdi_obs::debug!(target: "qdi_dpa::attack",
-            guess = guess, s0 = s0.len(), s1 = s1.len(),
-            "degenerate partition — guess cannot be scored");
-        return None;
-    }
-    qdi_obs::trace!(target: "qdi_dpa::attack",
-        guess = guess, s0 = s0.len(), s1 = s1.len(),
-        "partitioned traces for guess");
-    let a0 = Trace::average(s0);
-    let a1 = Trace::average(s1);
-    Some(Trace::difference(&a0, &a1))
-}
-
-/// One-pass accumulator for the DPA bias `T = A0 − A1` (eqs. 7–9).
-///
-/// [`bias_signal`] materialises both partitions before averaging; this
-/// accumulator instead folds traces in as they arrive — one running sum
-/// and count per partition — so bias computation works over sharded
-/// parallel campaigns ([`crate::parallel`]) and over `.qtrs` streams
-/// ([`crate::store`]) in bounded memory.
+/// One-pass accumulator for the DPA bias `T = A0 − A1` (eqs. 7–9): traces
+/// are split by `D(input, guess)` (eq. 7) and folded in as they arrive —
+/// one running sum and count per partition — and [`Self::finish`]
+/// averages (eq. 8) and differences (eq. 9) them. Nothing is
+/// materialised, so the bias works over sharded pool jobs
+/// ([`crate::parallel`]) and over `.qtrs` streams ([`crate::store`]) in
+/// bounded memory.
 ///
 /// Floating-point summation is not associative, so the *grouping* of
-/// accumulations fixes the result bit-pattern: accumulating a trace set
-/// in index order reproduces [`bias_signal`] exactly, while merging
-/// per-shard accumulators reproduces whatever tree the fixed shard size
-/// implies — deterministically, for every worker count.
+/// accumulations fixes the result bit-pattern. Every bias in this crate
+/// groups them the same way — per-shard accumulators of
+/// [`crate::BIAS_SHARD`] traces merged in index order — so it is
+/// deterministic for every worker count and every store chunk size.
 #[derive(Debug, Clone, Default)]
 pub struct BiasAccumulator {
     sum0: Option<Trace>,
@@ -123,8 +97,8 @@ impl BiasAccumulator {
     }
 }
 
-/// Scores one guess from its bias trace — shared by the serial and
-/// parallel rankers so both produce identical `GuessScore`s.
+/// Scores one guess from its bias trace: the peak of |T| (inside
+/// `window` when one is given) and the area under |T|.
 pub(crate) fn score_bias(
     guess: u16,
     bias: &Trace,
@@ -205,76 +179,16 @@ impl AttackResult {
     }
 }
 
-/// Runs the attack over every guess of the selection function.
-pub fn attack(set: &TraceSet, sel: &dyn SelectionFunction) -> AttackResult {
-    let guesses: Vec<u16> = (0..sel.guess_count()).collect();
-    attack_with_guesses(set, sel, &guesses)
-}
-
-/// Runs the attack over an explicit guess subset (used by fast tests and
-/// by incremental measurements-to-disclosure sweeps).
-pub fn attack_with_guesses(
-    set: &TraceSet,
-    sel: &dyn SelectionFunction,
-    guesses: &[u16],
-) -> AttackResult {
-    attack_windowed(set, sel, guesses, None)
-}
-
-/// Like [`attack_with_guesses`], scoring peaks only inside the time window
-/// `[t0, t1)` when one is given — the point-of-interest restriction real
-/// attackers apply to isolate the targeted intermediate's switching
-/// activity from unrelated (ghost) leakage.
-pub fn attack_windowed(
-    set: &TraceSet,
-    sel: &dyn SelectionFunction,
-    guesses: &[u16],
-    window: Option<(u64, u64)>,
-) -> AttackResult {
-    let mut span = qdi_obs::span("qdi_dpa::attack", "attack")
-        .field("selection", sel.name())
-        .field("guesses", guesses.len())
-        .field("traces", set.len())
-        .enter();
-    let ranking_start = std::time::Instant::now();
-    let mut scores: Vec<GuessScore> = guesses
-        .iter()
-        .filter_map(|&guess| {
-            let bias = bias_signal(set, sel, guess)?;
-            score_bias(guess, &bias, window)
-        })
-        .collect();
-    sort_scores(&mut scores);
-    let ranking_ms = ranking_start.elapsed().as_secs_f64() * 1e3;
-    qdi_obs::metrics::counter("dpa.guesses_scored").add(scores.len() as u64);
-    qdi_obs::metrics::histogram(
-        "dpa.guess_ranking_ms",
-        &[1.0, 10.0, 100.0, 1_000.0, 10_000.0],
-    )
-    .observe(ranking_ms);
-    span.record("scored", scores.len());
-    span.record("ranking_ms", ranking_ms);
-    if let Some(best) = scores.first() {
-        span.record("best_guess", best.guess);
-        span.record("best_peak", best.peak_abs);
-    }
-    AttackResult {
-        selection: sel.name(),
-        scores,
-        traces: set.len(),
-    }
-}
-
-/// Multi-bit DPA in the spirit of Bevan–Knudsen: runs one single-bit attack
-/// per selection function and sums, per guess, the absolute peak scores.
-/// Combining bits sharpens the correct guess against ghost peaks.
-pub fn multibit_attack(set: &TraceSet, sels: &[&dyn SelectionFunction]) -> AttackResult {
-    multibit_attack_windowed(set, sels, None)
-}
-
-/// [`multibit_attack`] with an optional point-of-interest window applied
-/// to every single-bit attack (see [`attack_windowed`]).
-pub fn multibit_attack_windowed(
+/// Multi-bit DPA in the spirit of Bevan–Knudsen: ranks every guess once
+/// per selection function through [`parallel_attack_windowed`] — scoring
+/// peaks only inside `window` when one is given — and sums, per guess,
+/// the absolute peak scores. Combining bits sharpens the correct guess
+/// against ghost peaks.
+///
+/// # Panics
+///
+/// Panics if `sels` is empty or the selections differ in guess count.
+pub fn multibit_attack(
     set: &TraceSet,
     sels: &[&dyn SelectionFunction],
     window: Option<(u64, u64)>,
@@ -299,7 +213,7 @@ pub fn multibit_attack_windowed(
         .collect();
     let guesses: Vec<u16> = (0..guess_count).collect();
     for sel in sels {
-        let result = attack_windowed(set, *sel, &guesses, window);
+        let result = parallel_attack_windowed(set, *sel, &guesses, window, ExecConfig::serial());
         for score in result.scores {
             let slot = &mut combined[score.guess as usize];
             slot.peak_abs += score.peak_abs;
@@ -322,6 +236,7 @@ pub fn multibit_attack_windowed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::{parallel_attack, parallel_bias_signal};
     use crate::selection::ClosureSelect;
     use qdi_analog::{Pulse, PulseShape};
 
@@ -368,7 +283,8 @@ mod tests {
         let sel = ClosureSelect::new("xor-bit0", 256, |input: &[u8], guess| {
             ((input[0] ^ guess as u8) & 1) == 1
         });
-        let correct = bias_signal(&set, &sel, key as u16).expect("both sets populated");
+        let correct = parallel_bias_signal(&set, &sel, key as u16, ExecConfig::serial())
+            .expect("both sets populated");
         let (_, peak) = correct.abs_peak().expect("nonempty");
         // D = 1 set carries the extra pulse, so A0 - A1 < 0 at the peak.
         assert!(peak < 0.0);
@@ -397,7 +313,7 @@ mod tests {
         let sel = ClosureSelect::new("sbox-bit0", 256, |input: &[u8], g| {
             sbox_like(input[0], g as u8)
         });
-        let result = attack(&set, &sel);
+        let result = parallel_attack(&set, &sel, ExecConfig::serial());
         assert_eq!(
             result.best().guess,
             key as u16,
@@ -427,7 +343,7 @@ mod tests {
             set.push(vec![i], t);
         }
         let sel = ClosureSelect::new("bit0", 2, |input: &[u8], g| (input[0] ^ g as u8) & 1 == 1);
-        let result = attack(&set, &sel);
+        let result = parallel_attack(&set, &sel, ExecConfig::serial());
         for s in &result.scores {
             assert!(
                 s.peak_abs < 1e-9,
@@ -443,7 +359,7 @@ mod tests {
         let mut set = TraceSet::new();
         set.push(vec![0], Trace::zeros(0, 10, 8));
         let sel = ClosureSelect::new("always0", 2, |_: &[u8], _| false);
-        assert!(bias_signal(&set, &sel, 0).is_none());
+        assert!(parallel_bias_signal(&set, &sel, 0, ExecConfig::serial()).is_none());
     }
 
     #[test]
@@ -453,7 +369,8 @@ mod tests {
         let sel = ClosureSelect::new("xor-bit0", 256, |input: &[u8], g| {
             ((input[0] ^ g as u8) & 1) == 1
         });
-        let result = attack_with_guesses(&set, &sel, &[0x10, 0x11, 0x12]);
+        let result =
+            parallel_attack_windowed(&set, &sel, &[0x10, 0x11, 0x12], None, ExecConfig::serial());
         assert_eq!(result.scores.len(), 3);
         assert!(result.rank_of(0x11).is_some());
     }
@@ -485,7 +402,7 @@ mod tests {
             .collect();
         let refs: Vec<&dyn SelectionFunction> =
             sels.iter().map(|s| s as &dyn SelectionFunction).collect();
-        let result = multibit_attack(&set, &refs);
+        let result = multibit_attack(&set, &refs, None);
         assert_eq!(result.best().guess, key as u16);
     }
 }

@@ -14,20 +14,24 @@
 //!   (`D(C1, P8, K8)`), the classic `SBOX(p ⊕ k)` variant, and DES
 //!   `SBOX1(P6 ⊕ K0)` — plus oracle/closure selections for signature
 //!   studies ([`selection`]);
-//! * set partitioning, averaging, bias computation, full key-guess
-//!   ranking and multi-bit (Bevan–Knudsen style) combination ([`mod@attack`]);
+//! * one bias and ranking engine on the `qdi-exec` pool ([`parallel`]):
+//!   set partitioning, averaging and bias computation with a fixed
+//!   summation tree, and full key-guess ranking, bit-identical at every
+//!   worker count; guess scores and multi-bit (Bevan–Knudsen style)
+//!   combination live in [`mod@attack`];
 //! * trace campaigns against the gate-level AES byte slice of
-//!   [`qdi_crypto::gatelevel`] ([`campaign`]), run on the `qdi-exec`
-//!   pool by one fail-fast and one supervised engine ([`parallel`]) and
-//!   one resumable, `.qtrs`-backed runner ([`store`]);
+//!   [`qdi_crypto::gatelevel`] ([`campaign`]), run on the same pool by
+//!   one fail-fast and one supervised engine ([`parallel`]) and one
+//!   resumable, `.qtrs`-backed runner ([`store`]);
 //! * attack-quality metrics: ghost-peak ratio and measurements to
 //!   disclosure ([`metrics`]).
 //!
 //! # Example
 //!
 //! ```
-//! use qdi_dpa::{attack, selection::ClosureSelect, TraceSet};
+//! use qdi_dpa::{parallel_attack, selection::ClosureSelect, TraceSet};
 //! use qdi_analog::Trace;
+//! use qdi_exec::ExecConfig;
 //!
 //! // Two synthetic trace classes differing at one sample.
 //! let mut set = TraceSet::new();
@@ -42,7 +46,7 @@
 //!     set.push(vec![v], t);
 //! }
 //! let sel = ClosureSelect::new("lsb", 2, |input, guess| (input[0] ^ guess as u8) & 1 == 1);
-//! let result = attack::attack(&set, &sel);
+//! let result = parallel_attack(&set, &sel, ExecConfig::serial());
 //! assert_eq!(result.scores.len(), 2);
 //! assert!(result.scores[0].peak_abs > 0.0);
 //! ```
@@ -62,7 +66,7 @@ pub mod template;
 
 mod traceset;
 
-pub use attack::{attack, bias_signal, AttackResult, BiasAccumulator, GuessScore};
+pub use attack::{AttackResult, BiasAccumulator, GuessScore};
 pub use campaign::{CampaignConfig, PlaintextSource};
 pub use cpa::{cpa, CpaResult, HammingWeightSbox, LeakageModel};
 pub use parallel::{

@@ -11,16 +11,18 @@
 //!   acquisition `i` its own noise RNG
 //!   [`qdi_exec::job_rng`]`(cfg.seed, i)` — so a trace's noise depends
 //!   only on its index, never on which worker ran it or in what order.
-//! * **Fixed-shard accumulation.** [`parallel_bias_signal`] folds traces
-//!   into per-shard [`BiasAccumulator`]s of [`BIAS_SHARD`] traces each —
-//!   a shard structure that depends only on the set size — and merges
-//!   shards in index order, fixing the f64 summation tree.
+//! * **Fixed-shard accumulation.** Every bias — [`parallel_bias_signal`],
+//!   each guess of [`parallel_attack_windowed`], and
+//!   [`crate::bias_signal_from_store`] — folds traces into per-shard
+//!   [`BiasAccumulator`]s of [`BIAS_SHARD`] traces each, a shard
+//!   structure that depends only on the trace index, and merges shards
+//!   in index order, fixing the f64 summation tree.
 //!
-//! With `ExecConfig::serial()` the pool runs inline on the calling
-//! thread, so one worker is simply the smallest worker count. The
-//! in-memory [`crate::bias_signal`] sums each partition left-to-right in
-//! one chain; it agrees with [`parallel_bias_signal`] bit for bit only
-//! while the set fits one shard.
+//! This module is the crate's one bias and ranking engine. With
+//! `ExecConfig::serial()` the pool runs inline on the calling thread, so
+//! one worker is simply the smallest worker count, not a separate path.
+
+use std::ops::Range;
 
 use qdi_analog::{Trace, TraceSynthesizer};
 use qdi_crypto::gatelevel::slice::AesByteSlice;
@@ -152,89 +154,83 @@ pub fn run_parallel_campaign_supervised(
     }
 }
 
-/// Folds the index range `[lo, hi)` of `set` into one accumulator —
-/// the per-shard work of the parallel bias computation.
+/// The shards of the fixed summation tree over records `0..n`:
+/// [`BIAS_SHARD`] consecutive indices each, the last one possibly short.
+/// Every bias in this crate accumulates one [`BiasAccumulator`] per
+/// shard and merges them in this order; this is the one place the shard
+/// boundaries are drawn. A stream of unknown length walks
+/// `shard_ranges(usize::MAX)` until it runs dry.
+pub(crate) fn shard_ranges(n: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..n)
+        .step_by(BIAS_SHARD)
+        .map(move |lo| lo..n.min(lo + BIAS_SHARD))
+}
+
+/// Folds the records of one shard of `set` into an accumulator.
 fn accumulate_shard(
     set: &TraceSet,
-    sel: &(dyn SelectionFunction + Sync),
+    sel: &dyn SelectionFunction,
     guess: u16,
-    lo: usize,
-    hi: usize,
+    shard: Range<usize>,
 ) -> BiasAccumulator {
     let _prof =
         qdi_obs::span!(qdi_obs::Level::Trace, target: "qdi_dpa::parallel", "dpa.bias.shard");
     let mut acc = BiasAccumulator::new();
-    for i in lo..hi {
+    for i in shard {
         acc.accumulate(sel.select(set.input(i), guess), set.trace(i));
     }
     acc
 }
 
-/// Computes the bias trace with a fixed-shard summation tree, serially.
-/// [`parallel_bias_signal`] with any worker count produces exactly this.
-pub(crate) fn sharded_bias(
-    set: &TraceSet,
-    sel: &(dyn SelectionFunction + Sync),
-    guess: u16,
-) -> Option<Trace> {
-    let n = set.len();
+/// Merges shard accumulators in index order and finishes `T = A0 − A1`.
+fn merge_shards(shards: impl IntoIterator<Item = BiasAccumulator>) -> Option<Trace> {
     let mut total = BiasAccumulator::new();
-    for lo in (0..n).step_by(BIAS_SHARD) {
-        total.merge(accumulate_shard(
-            set,
-            sel,
-            guess,
-            lo,
-            (lo + BIAS_SHARD).min(n),
-        ));
+    for shard in shards {
+        total.merge(shard);
     }
     total.finish()
 }
 
-/// Computes the DPA bias `T = A0 − A1` for one guess with shards of
-/// [`BIAS_SHARD`] traces accumulated in parallel and merged in index
-/// order. Bit-identical for every worker count; `None` when a partition
-/// is empty.
+/// Computes the DPA bias `T = A0 − A1` for one guess (eqs. 7–9): traces
+/// are split by `D(input, guess)`, each partition is averaged and the
+/// averages are differenced. Shards of [`BIAS_SHARD`] traces are
+/// accumulated on the pool and merged in index order, so the result is
+/// bit-identical for every worker count. `None` when a partition is
+/// empty (the guess cannot be scored with this set).
 pub fn parallel_bias_signal(
     set: &TraceSet,
-    sel: &(dyn SelectionFunction + Sync),
+    sel: &dyn SelectionFunction,
     guess: u16,
     exec: ExecConfig,
 ) -> Option<Trace> {
-    let n = set.len();
-    if n == 0 {
-        return None;
-    }
-    let shards = n.div_ceil(BIAS_SHARD);
-    let accs = qdi_exec::run_indexed(&exec, shards, |s| {
-        let lo = s * BIAS_SHARD;
-        accumulate_shard(set, sel, guess, lo, (lo + BIAS_SHARD).min(n))
-    });
-    let mut total = BiasAccumulator::new();
-    for acc in accs {
-        total.merge(acc);
-    }
-    total.finish()
+    let shards: Vec<Range<usize>> = shard_ranges(set.len()).collect();
+    merge_shards(qdi_exec::run_indexed(&exec, shards.len(), |s| {
+        accumulate_shard(set, sel, guess, shards[s].clone())
+    }))
 }
 
-/// Ranks every guess of the selection function in parallel — one pool
-/// job per guess, each computing its fixed-shard bias serially.
+/// Ranks every guess of the selection function — one pool job per
+/// guess, each computing its fixed-shard bias inline.
 pub fn parallel_attack(
     set: &TraceSet,
-    sel: &(dyn SelectionFunction + Sync),
+    sel: &dyn SelectionFunction,
     exec: ExecConfig,
 ) -> AttackResult {
     let guesses: Vec<u16> = (0..sel.guess_count()).collect();
     parallel_attack_windowed(set, sel, &guesses, None, exec)
 }
 
-/// Parallel guess ranking over an explicit guess subset, scoring peaks
-/// only inside `window` when one is given. The ranking is worker-count
-/// invariant: per-guess biases use the fixed-shard summation tree and
-/// results are merged in guess order before the (stable, total) sort.
+/// Ranks an explicit guess subset, scoring peaks only inside the time
+/// window `[t0, t1)` when one is given — the point-of-interest
+/// restriction real attackers apply to isolate the targeted
+/// intermediate's switching activity from unrelated (ghost) leakage.
+///
+/// The ranking is worker-count invariant: per-guess biases use the
+/// fixed-shard summation tree and results are merged in guess order
+/// before the total sort (largest peak first, ties by smaller guess).
 pub fn parallel_attack_windowed(
     set: &TraceSet,
-    sel: &(dyn SelectionFunction + Sync),
+    sel: &dyn SelectionFunction,
     guesses: &[u16],
     window: Option<(u64, u64)>,
     exec: ExecConfig,
@@ -248,13 +244,20 @@ pub fn parallel_attack_windowed(
     let start = std::time::Instant::now();
     let scored: Vec<Option<GuessScore>> = qdi_exec::run_indexed(&exec, guesses.len(), |i| {
         let guess = guesses[i];
-        let bias = sharded_bias(set, sel, guess)?;
+        let bias = merge_shards(
+            shard_ranges(set.len()).map(|shard| accumulate_shard(set, sel, guess, shard)),
+        )?;
         score_bias(guess, &bias, window)
     });
     let mut scores: Vec<GuessScore> = scored.into_iter().flatten().collect();
     sort_scores(&mut scores);
     let ranking_ms = start.elapsed().as_secs_f64() * 1e3;
     qdi_obs::metrics::counter("dpa.guesses_scored").add(scores.len() as u64);
+    qdi_obs::metrics::histogram(
+        "dpa.guess_ranking_ms",
+        &[1.0, 10.0, 100.0, 1_000.0, 10_000.0],
+    )
+    .observe(ranking_ms);
     span.record("scored", scores.len());
     span.record("ranking_ms", ranking_ms);
     if let Some(best) = scores.first() {
@@ -271,8 +274,8 @@ pub fn parallel_attack_windowed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::{attack_with_guesses, bias_signal};
     use crate::selection::AesXorSelect;
+    use qdi_analog::{Pulse, PulseShape};
     use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 
     fn noisy_cfg(traces: usize) -> CampaignConfig {
@@ -304,40 +307,88 @@ mod tests {
     }
 
     #[test]
-    fn parallel_bias_is_worker_count_invariant_and_matches_sharded_serial() {
+    fn parallel_bias_is_worker_count_invariant() {
         let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
         let cfg = noisy_cfg(20);
         let set = run_parallel_campaign(&slice, &cfg, ExecConfig { workers: 2 }).expect("runs");
         let sel = AesXorSelect { byte: 0, bit: 0 };
-        let golden = sharded_bias(&set, &sel, 0x42).expect("bias");
-        for workers in [1, 2, 8] {
+        let golden = parallel_bias_signal(&set, &sel, 0x42, ExecConfig::serial()).expect("bias");
+        for workers in [2, 8] {
             let t = parallel_bias_signal(&set, &sel, 0x42, ExecConfig { workers }).expect("bias");
             assert_eq!(golden.samples(), t.samples(), "bias @ {workers} workers");
         }
-        // One shard covers this whole set, so the fixed-shard tree is the
-        // serial left-to-right chain: bit-identical to `bias_signal`.
-        let serial = bias_signal(&set, &sel, 0x42).expect("serial bias");
-        assert_eq!(serial.samples(), golden.samples());
+    }
+
+    /// A synthetic set spanning several shards (the last one short), so
+    /// the summation tree has more than one merge. The byte `p` of trace
+    /// `i` adds a pulse when bit 0 of `p ^ KEY` is set, on top of
+    /// per-trace jitter that makes the f64 sums order-sensitive.
+    fn multi_shard_set() -> TraceSet {
+        const KEY: u8 = 0x5A;
+        let mut set = TraceSet::new();
+        for i in 0..3 * BIAS_SHARD + 17 {
+            let p = (i as u8).wrapping_mul(151).wrapping_add(43);
+            let mut t = Trace::zeros(0, 10, 24);
+            let pulse = |t0_ps, charge_fc| Pulse {
+                t0_ps,
+                charge_fc,
+                dur_ps: 40,
+            };
+            t.add_pulse(
+                pulse(20, 1.0 + (i % 7) as f64 * 0.1),
+                PulseShape::Triangular,
+            );
+            if (p ^ KEY) & 1 == 1 {
+                t.add_pulse(pulse(120, 3.0), PulseShape::Triangular);
+            }
+            set.push(vec![p], t);
+        }
+        set
     }
 
     #[test]
-    fn parallel_attack_matches_serial_ranking() {
-        let slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
-        let mut cfg = noisy_cfg(16);
-        cfg.synth.noise_sigma = 0.0;
-        let set = run_parallel_campaign(&slice, &cfg, ExecConfig { workers: 2 }).expect("runs");
+    fn multi_shard_bias_and_ranking_are_worker_count_invariant() {
+        let set = multi_shard_set();
+        assert_eq!(shard_ranges(set.len()).count(), 4);
         let sel = AesXorSelect { byte: 0, bit: 0 };
-        let guesses: Vec<u16> = (0..32).collect();
-        let serial = attack_with_guesses(&set, &sel, &guesses);
-        for workers in [1, 4] {
-            let par = parallel_attack_windowed(&set, &sel, &guesses, None, ExecConfig { workers });
-            assert_eq!(serial.scores.len(), par.scores.len());
-            for (a, b) in serial.scores.iter().zip(&par.scores) {
-                assert_eq!(a.guess, b.guess, "ranking order @ {workers} workers");
-                assert_eq!(a.peak_abs, b.peak_abs);
-                assert_eq!(a.peak_time_ps, b.peak_time_ps);
-            }
+        let guesses: Vec<u16> = (0..256).collect();
+        let golden_bias =
+            parallel_bias_signal(&set, &sel, 0x5A, ExecConfig::serial()).expect("bias");
+        let golden = parallel_attack_windowed(&set, &sel, &guesses, None, ExecConfig::serial());
+        assert_eq!(
+            golden.best().guess & 1,
+            0x5A & 1,
+            "the leaking key bit ranks first"
+        );
+        // Each guess's score in the ranking comes from the same tree as
+        // its standalone bias.
+        for score in &golden.scores {
+            let bias =
+                parallel_bias_signal(&set, &sel, score.guess, ExecConfig::serial()).expect("bias");
+            assert_eq!(score_bias(score.guess, &bias, None).as_ref(), Some(score));
         }
+        for workers in [2, 8] {
+            let exec = ExecConfig { workers };
+            let bias = parallel_bias_signal(&set, &sel, 0x5A, exec).expect("bias");
+            assert_eq!(
+                golden_bias.samples(),
+                bias.samples(),
+                "bias @ {workers} workers"
+            );
+            let ranked = parallel_attack_windowed(&set, &sel, &guesses, None, exec);
+            assert_eq!(golden.scores, ranked.scores, "ranking @ {workers} workers");
+        }
+        let path = std::env::temp_dir().join(format!(
+            "qdi_dpa_parallel_{}_multi_shard.qtrs",
+            std::process::id()
+        ));
+        set.to_store(&path, qdi_exec::StoreOptions::new())
+            .expect("stores");
+        // A chunk size that does not divide the shard size.
+        let streamed = crate::bias_signal_from_store(&path, &sel, 0x5A, 100);
+        std::fs::remove_file(&path).ok();
+        let streamed = streamed.expect("streams").expect("both partitions");
+        assert_eq!(golden_bias.samples(), streamed.samples());
     }
 
     #[test]

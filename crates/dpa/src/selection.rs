@@ -6,7 +6,8 @@ use qdi_crypto::{aes, des};
 ///
 /// Implementors predict one bit of an intermediate value; the DPA engine
 /// partitions traces on that prediction for every candidate `guess`.
-pub trait SelectionFunction {
+/// The engine evaluates it from pool workers, hence the `Sync` bound.
+pub trait SelectionFunction: Sync {
     /// Number of key guesses to enumerate (e.g. 256 for a key byte).
     fn guess_count(&self) -> u16;
 
@@ -115,7 +116,7 @@ pub struct ClosureSelect<F> {
     f: F,
 }
 
-impl<F: Fn(&[u8], u16) -> bool> ClosureSelect<F> {
+impl<F: Fn(&[u8], u16) -> bool + Sync> ClosureSelect<F> {
     /// Wraps `f` as a selection function enumerating `guesses` candidates.
     pub fn new(name: impl Into<String>, guesses: u16, f: F) -> Self {
         ClosureSelect {
@@ -126,7 +127,7 @@ impl<F: Fn(&[u8], u16) -> bool> ClosureSelect<F> {
     }
 }
 
-impl<F: Fn(&[u8], u16) -> bool> SelectionFunction for ClosureSelect<F> {
+impl<F: Fn(&[u8], u16) -> bool + Sync> SelectionFunction for ClosureSelect<F> {
     fn guess_count(&self) -> u16 {
         self.guesses
     }

@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 use crate::attack::BiasAccumulator;
 use crate::campaign::CampaignConfig;
 use crate::campaign::{acquire_trace, plaintext_schedule};
-use crate::parallel::BIAS_SHARD;
+use crate::parallel::shard_ranges;
 use crate::selection::SelectionFunction;
 use crate::traceset::{TraceSet, TraceSetError};
 
@@ -158,7 +158,7 @@ impl TraceSet {
 /// Computes the DPA bias `T = A0 − A1` for one guess by streaming the
 /// store in chunks of `chunk` traces — peak resident trace memory is one
 /// chunk plus the running sums. Accumulation uses the same fixed
-/// [`BIAS_SHARD`] summation tree as the in-memory parallel path, so the
+/// [`crate::BIAS_SHARD`] summation tree as the in-memory path, so the
 /// result is bit-identical to
 /// [`crate::parallel::parallel_bias_signal`] over
 /// [`TraceSet::from_store`] of the same file, at every worker count.
@@ -175,22 +175,26 @@ pub fn bias_signal_from_store(
     chunk: usize,
 ) -> Result<Option<qdi_analog::Trace>, StoreError> {
     let reader = StoreReader::open(path)?;
+    let mut shards = shard_ranges(usize::MAX);
+    let mut shard = 0..0;
+    let mut acc = BiasAccumulator::new();
     let mut total = BiasAccumulator::new();
-    let mut shard = BiasAccumulator::new();
-    let mut in_shard = 0usize;
+    let mut index = 0;
     for batch in reader.chunks(chunk.max(1)) {
         for (input, trace) in batch? {
-            shard.accumulate(sel.select(&input, guess), &trace);
-            in_shard += 1;
-            if in_shard == BIAS_SHARD {
-                total.merge(std::mem::take(&mut shard));
-                in_shard = 0;
+            if !shard.contains(&index) {
+                // Record `index` opens the next shard: the finished one
+                // merges into the total.
+                total.merge(std::mem::take(&mut acc));
+                shard = shards
+                    .next()
+                    .expect("an unbounded stream has a shard per index");
             }
+            acc.accumulate(sel.select(&input, guess), &trace);
+            index += 1;
         }
     }
-    if in_shard > 0 {
-        total.merge(shard);
-    }
+    total.merge(acc);
     Ok(total.finish())
 }
 

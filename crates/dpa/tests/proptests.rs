@@ -3,9 +3,11 @@
 use proptest::prelude::*;
 
 use qdi_analog::{Pulse, PulseShape, Trace};
-use qdi_dpa::attack::{attack_with_guesses, bias_signal, multibit_attack};
+use qdi_dpa::attack::multibit_attack;
 use qdi_dpa::selection::{AesSboxSelect, AesXorSelect, SelectionFunction};
 use qdi_dpa::TraceSet;
+use qdi_dpa::{parallel_attack, parallel_attack_windowed, parallel_bias_signal};
+use qdi_exec::ExecConfig;
 
 /// A deterministic trace set where bit `bit` of `p ^ key` adds a pulse.
 fn xor_leaky_set(key: u8, bit: u8, n: usize) -> TraceSet {
@@ -41,8 +43,8 @@ proptest! {
         let sel = AesXorSelect { byte: 0, bit };
         let flip = 1u16 << bit;
         let (Some(t1), Some(t2)) = (
-            bias_signal(&set, &sel, guess as u16),
-            bias_signal(&set, &sel, guess as u16 ^ flip),
+            parallel_bias_signal(&set, &sel, guess as u16, ExecConfig::serial()),
+            parallel_bias_signal(&set, &sel, guess as u16 ^ flip, ExecConfig::serial()),
         ) else {
             // Degenerate partition (all plaintext bits equal) cannot occur
             // with 64 distinct plaintexts, but keep proptest happy.
@@ -60,8 +62,8 @@ proptest! {
         prop_assume!((g1 >> bit) & 1 == (g2 >> bit) & 1);
         let set = xor_leaky_set(key, bit, 64);
         let sel = AesXorSelect { byte: 0, bit };
-        let t1 = bias_signal(&set, &sel, g1 as u16).expect("splits");
-        let t2 = bias_signal(&set, &sel, g2 as u16).expect("splits");
+        let t1 = parallel_bias_signal(&set, &sel, g1 as u16, ExecConfig::serial()).expect("splits");
+        let t2 = parallel_bias_signal(&set, &sel, g2 as u16, ExecConfig::serial()).expect("splits");
         let diff = Trace::difference(&t1, &t2);
         prop_assert!(diff.abs_area_fc() < 1e-9);
     }
@@ -85,7 +87,7 @@ proptest! {
         let sel = AesSboxSelect { byte: 0, bit: 0 };
         let guesses: Vec<u16> =
             (0..8).map(|i| (key as u16 + i * decoy_step) & 0xFF).collect();
-        let result = attack_with_guesses(&set, &sel, &guesses);
+        let result = parallel_attack_windowed(&set, &sel, &guesses, None, ExecConfig::serial());
         prop_assert_eq!(result.best().guess, key as u16);
     }
 
@@ -114,7 +116,7 @@ proptest! {
         ];
         let refs: Vec<&dyn SelectionFunction> =
             sels.iter().map(|s| s as &dyn SelectionFunction).collect();
-        let multi = multibit_attack(&set, &refs);
+        let multi = multibit_attack(&set, &refs, None);
         let combined = multi
             .scores
             .iter()
@@ -123,7 +125,7 @@ proptest! {
             .peak_abs;
         // Each single-bit score is bounded by the combined score.
         for sel in &sels {
-            let r = qdi_dpa::attack::attack(&set, sel);
+            let r = parallel_attack(&set, sel, ExecConfig::serial());
             let s = r.scores.iter().find(|s| s.guess == key as u16).expect("scored").peak_abs;
             prop_assert!(combined >= s - 1e-12);
         }

@@ -119,7 +119,9 @@ impl LintReport {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for diag in &self.diagnostics {
-            out.push_str(&qdi_obs::json::to_json(diag));
+            out.push_str(
+                &qdi_obs::serde_json::to_string(diag).expect("a diagnostic always renders"),
+            );
             out.push('\n');
         }
         out
@@ -284,7 +286,7 @@ mod tests {
     #[test]
     fn round_trips_through_serde_json_value() {
         let r = report();
-        let json = qdi_obs::json::to_json(&r);
+        let json = serde_json::to_string(&r).expect("renders");
         assert!(json.contains("\"netlist\":\"t\""), "{json}");
         assert!(json.contains("QDI") || json.contains("\"code\""), "{json}");
     }

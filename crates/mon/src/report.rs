@@ -170,7 +170,7 @@ mod tests {
             dur_us: 1234,
             thread: 0,
         };
-        writeln!(f, "{}", qdi_obs::json::record_to_json(&record)).unwrap();
+        writeln!(f, "{}", serde_json::to_string(&record).unwrap()).unwrap();
         writeln!(f, "this line is torn garba").unwrap();
         drop(f);
 

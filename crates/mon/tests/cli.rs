@@ -101,7 +101,7 @@ fn report_builds_html_from_jsonl() {
         dur_us: 2_000,
         thread: 0,
     };
-    std::fs::write(&jsonl, qdi_obs::json::record_to_json(&record) + "\n").unwrap();
+    std::fs::write(&jsonl, serde_json::to_string(&record).unwrap() + "\n").unwrap();
     let out_html = dir.join("qdi_mon_cli_run.report.html");
     let out = qdi_mon(&[
         "report",

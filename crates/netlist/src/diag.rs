@@ -403,7 +403,7 @@ mod tests {
     #[test]
     fn serializes_to_json() {
         let diag = sample();
-        let json = qdi_obs::json::to_json(&diag);
+        let json = serde_json::to_string(&diag).expect("renders");
         assert!(json.contains("\"code\""), "{json}");
         assert!(json.contains("\"severity\""), "{json}");
         assert!(json.contains("Deny"), "{json}");

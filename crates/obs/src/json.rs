@@ -1,121 +1,43 @@
-//! Minimal JSON rendering for sinks.
+//! Chrome trace-event entries for [`crate::sink::ChromeTraceSink`].
 //!
-//! The crate intentionally depends only on `serde` (for the data
-//! model), so the few JSON strings the sinks emit are written here by
-//! hand rather than pulling in a full JSON crate.
+//! Every other JSON string the workspace writes — JSONL records,
+//! diagnostics, reports — is `serde_json::to_string` of a `Serialize`
+//! value; the trace entries are built here as [`Value`] maps and
+//! rendered the same way.
 
-use std::fmt::Write as _;
-
-use serde::{Serialize, Value};
+use serde::Value;
 
 use crate::level::Level;
-use crate::record::{Fields, Record};
+use crate::record::{FieldValue, Fields};
 
-/// Serializes any `Serialize` type to compact JSON text.
-#[must_use]
-pub fn to_json<T: Serialize>(value: &T) -> String {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value());
-    out
+/// Span or event fields as bare scalars, not the externally-tagged enum
+/// encoding: trace viewers show `args` verbatim.
+fn args(fields: &Fields) -> Value {
+    Value::Map(
+        fields
+            .iter()
+            .map(|(key, value)| {
+                let scalar = match value {
+                    FieldValue::Int(v) => Value::Int(*v),
+                    FieldValue::UInt(v) => Value::UInt(*v),
+                    FieldValue::Float(v) => Value::Float(*v),
+                    FieldValue::Bool(v) => Value::Bool(*v),
+                    FieldValue::Str(v) => Value::Str(v.clone()),
+                };
+                (key.clone(), scalar)
+            })
+            .collect(),
+    )
 }
 
-/// Serializes one [`Record`] to a single JSON line (no trailing newline).
-#[must_use]
-pub fn record_to_json(record: &Record) -> String {
-    to_json(record)
-}
-
-fn write_value(out: &mut String, value: &Value) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::UInt(u) => {
-            let _ = write!(out, "{u}");
-        }
-        Value::Float(f) => {
-            if f.is_finite() {
-                if f.fract() == 0.0 && f.abs() < 1e15 {
-                    let _ = write!(out, "{f:.1}");
-                } else {
-                    let _ = write!(out, "{f}");
-                }
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_str(out, s),
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(out, item);
-            }
-            out.push(']');
-        }
-        Value::Map(entries) => {
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_str(out, key);
-                out.push(':');
-                write_value(out, item);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_args(out: &mut String, fields: &Fields) {
-    use crate::record::FieldValue;
-    out.push('{');
-    for (i, (key, value)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_str(out, key);
-        out.push(':');
-        // Bare scalars, not the externally-tagged enum encoding: trace
-        // viewers show `args` verbatim.
-        let scalar = match value {
-            FieldValue::Int(v) => Value::Int(*v),
-            FieldValue::UInt(v) => Value::UInt(*v),
-            FieldValue::Float(v) => Value::Float(*v),
-            FieldValue::Bool(v) => Value::Bool(*v),
-            FieldValue::Str(v) => Value::Str(v.clone()),
-        };
-        write_value(out, &scalar);
-    }
-    out.push('}');
+/// Renders one trace entry from its `(key, value)` pairs, in order.
+fn entry(pairs: Vec<(&str, Value)>) -> String {
+    let map = Value::Map(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect());
+    serde_json::to_string(&map).expect("a Value tree always renders")
 }
 
 /// One Chrome trace-event "X" (complete) entry for a closed span.
-#[must_use]
-pub fn chrome_complete(
+pub(crate) fn chrome_complete(
     pid: u32,
     tid: u64,
     target: &str,
@@ -124,23 +46,20 @@ pub fn chrome_complete(
     ts_us: u64,
     dur_us: u64,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\"name\":");
-    write_str(&mut out, name);
-    out.push_str(",\"cat\":");
-    write_str(&mut out, target);
-    let _ = write!(
-        out,
-        ",\"ph\":\"X\",\"ts\":{ts_us},\"dur\":{dur_us},\"pid\":{pid},\"tid\":{tid},\"args\":"
-    );
-    write_args(&mut out, fields);
-    out.push('}');
-    out
+    entry(vec![
+        ("name", Value::Str(name.to_owned())),
+        ("cat", Value::Str(target.to_owned())),
+        ("ph", Value::Str("X".into())),
+        ("ts", Value::UInt(ts_us)),
+        ("dur", Value::UInt(dur_us)),
+        ("pid", Value::UInt(u64::from(pid))),
+        ("tid", Value::UInt(tid)),
+        ("args", args(fields)),
+    ])
 }
 
 /// One Chrome trace-event "i" (instant) entry for a leveled event.
-#[must_use]
-pub fn chrome_instant(
+pub(crate) fn chrome_instant(
     pid: u32,
     tid: u64,
     target: &str,
@@ -149,49 +68,43 @@ pub fn chrome_instant(
     fields: &Fields,
     ts_us: u64,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\"name\":");
-    write_str(&mut out, &format!("{} {message}", level.label()));
-    out.push_str(",\"cat\":");
-    write_str(&mut out, target);
-    let _ = write!(
-        out,
-        ",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts_us},\"pid\":{pid},\"tid\":{tid},\"args\":"
-    );
-    write_args(&mut out, fields);
-    out.push('}');
-    out
+    entry(vec![
+        ("name", Value::Str(format!("{} {message}", level.label()))),
+        ("cat", Value::Str(target.to_owned())),
+        ("ph", Value::Str("i".into())),
+        ("s", Value::Str("t".into())),
+        ("ts", Value::UInt(ts_us)),
+        ("pid", Value::UInt(u64::from(pid))),
+        ("tid", Value::UInt(tid)),
+        ("args", args(fields)),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::FieldValue;
 
     #[test]
     fn escapes_strings() {
-        let mut out = String::new();
-        write_str(&mut out, "a\"b\\c\nd\u{1}");
+        let out = serde_json::to_string("a\"b\\c\nd\u{1}").expect("renders");
         assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 
     #[test]
     fn floats_stay_floats() {
-        let mut out = String::new();
-        write_value(&mut out, &Value::Float(2.0));
-        assert_eq!(out, "2.0");
-        out.clear();
-        write_value(&mut out, &Value::Float(f64::NAN));
-        assert_eq!(out, "null");
+        assert_eq!(serde_json::to_string(&2.0f64).expect("renders"), "2.0");
+        assert_eq!(serde_json::to_string(&f64::NAN).expect("renders"), "null");
     }
 
     #[test]
     fn chrome_entries_are_json_objects() {
         let fields = vec![("n".to_string(), FieldValue::UInt(3))];
         let x = chrome_complete(7, 0, "qdi_pnr::place", "anneal", &fields, 10, 20);
-        assert!(x.contains("\"ph\":\"X\""), "{x}");
-        assert!(x.contains("\"dur\":20"), "{x}");
-        assert!(x.contains("\"n\":3"), "{x}");
+        assert_eq!(
+            x,
+            "{\"name\":\"anneal\",\"cat\":\"qdi_pnr::place\",\"ph\":\"X\",\"ts\":10,\
+             \"dur\":20,\"pid\":7,\"tid\":0,\"args\":{\"n\":3}}"
+        );
         let i = chrome_instant(7, 0, "qdi_sim", Level::Warn, "hazard", &fields, 10);
         assert!(i.contains("\"ph\":\"i\""), "{i}");
         assert!(i.contains("WARN hazard"), "{i}");

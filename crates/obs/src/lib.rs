@@ -42,7 +42,7 @@ pub mod durable;
 pub mod filter;
 pub mod flame;
 pub mod html;
-pub mod json;
+mod json;
 pub mod level;
 pub mod metrics;
 pub mod prof;
@@ -54,6 +54,10 @@ pub mod slo;
 pub mod telemetry;
 pub mod timeseries;
 pub mod trace;
+
+/// The JSON writer behind every sink, re-exported so crates that render
+/// records or diagnostics share it without a dependency of their own.
+pub use serde_json;
 
 pub use durable::{Durability, DurableError, Recovered};
 pub use filter::Filter;

@@ -191,7 +191,9 @@ impl JsonlSink {
 
 impl Sink for JsonlSink {
     fn record(&self, record: &Record) {
-        let line = crate::json::record_to_json(record);
+        let Ok(line) = serde_json::to_string(record) else {
+            return;
+        };
         let mut writer = self.writer.lock().expect("jsonl sink poisoned");
         let _ = writeln!(writer, "{line}");
     }

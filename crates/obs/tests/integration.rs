@@ -151,7 +151,7 @@ fn jsonl_round_trips_every_record_kind() {
     });
     assert_eq!(records.len(), 3);
     for record in &records {
-        let line = qdi_obs::json::record_to_json(record);
+        let line = serde_json::to_string(record).expect("renders");
         assert!(!line.contains('\n'), "JSONL must be one line: {line}");
         let back: Record = serde_json::from_str(&line)
             .unwrap_or_else(|e| panic!("reparse failed for {line}: {e:?}"));

@@ -72,7 +72,8 @@ pub struct DpaReport {
     pub selection: Option<String>,
     /// One bias signal per requested guess.
     pub guesses: Vec<GuessReport>,
-    /// Guess with the largest peak, when an attack was requested.
+    /// Guess with the largest peak (ties to the smaller guess), when an
+    /// attack was requested.
     pub best_guess: Option<u16>,
 }
 
@@ -319,12 +320,21 @@ fn dpa_report(
             samples: trace.samples().to_vec(),
         });
     }
-    report.best_guess = report
-        .guesses
-        .iter()
-        .max_by(|a, b| a.abs_peak.total_cmp(&b.abs_peak))
-        .map(|g| g.guess);
+    report.best_guess = best_guess(&report.guesses);
     Ok(report)
+}
+
+/// The best guess by the DPA engine's ranking rule: largest `|T|` peak,
+/// ties broken by the smaller guess.
+fn best_guess(guesses: &[GuessReport]) -> Option<u16> {
+    guesses
+        .iter()
+        .min_by(|a, b| {
+            b.abs_peak
+                .total_cmp(&a.abs_peak)
+                .then(a.guess.cmp(&b.guess))
+        })
+        .map(|g| g.guess)
 }
 
 fn run_fi(job: &Arc<JobHandle>, spec: &FiJobSpec) -> Result<(), String> {
@@ -378,4 +388,25 @@ fn run_pnr(job: &Arc<JobHandle>, spec: &PnrJobSpec) -> Result<(), String> {
     let _ = job.set_state(JobState::Completed, None);
     qdi_obs::metrics::counter("serve.jobs.completed").inc();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn best_guess_takes_the_largest_peak_then_the_smallest_guess() {
+        let score = |guess, abs_peak| GuessReport {
+            guess,
+            abs_peak,
+            peak_t_ps: 0,
+            samples: Vec::new(),
+        };
+        assert_eq!(best_guess(&[]), None);
+        // `Iterator::max_by` would return the last of the tied peaks.
+        let tied = [score(3, 2.0), score(9, 2.0), score(7, 1.0)];
+        assert_eq!(best_guess(&tied), Some(3));
+        let clear = [score(9, 2.0), score(3, 1.5), score(7, 2.5)];
+        assert_eq!(best_guess(&clear), Some(7));
+    }
 }

@@ -72,9 +72,9 @@ pub struct AttackSpec {
     pub selection: String,
     /// Targeted bit of the selection function (0 = LSB).
     pub bit: u8,
-    /// Key guesses to difference the traces under. Defaults to the
-    /// device key from the campaign config (sanity: the right guess
-    /// must show the signature peak).
+    /// Key guesses (key bytes, 0..=255) to difference the traces under.
+    /// Defaults to the device key from the campaign config (sanity: the
+    /// right guess must show the signature peak).
     pub guesses: Option<Vec<u16>>,
 }
 
@@ -247,6 +247,13 @@ impl JobSpec {
                         if guesses.is_empty() || guesses.len() > 256 {
                             return Err("attack.guesses must hold 1..=256 entries".into());
                         }
+                        // The AES selections take the guess as a key byte;
+                        // a larger value would alias `guess mod 256`.
+                        if let Some(guess) = guesses.iter().find(|&&g| g > 255) {
+                            return Err(format!(
+                                "attack.guesses entry {guess} is not a key byte (0..=255)"
+                            ));
+                        }
                     }
                 }
             }
@@ -355,6 +362,20 @@ mod tests {
             dpa.stage = "des".into();
         }
         assert!(spec.validate().is_err());
+        let with_guesses = |guesses: Vec<u16>| {
+            let mut spec = dpa_spec();
+            if let JobKind::Dpa(dpa) = &mut spec.kind {
+                dpa.attack = Some(AttackSpec {
+                    selection: "sbox".into(),
+                    bit: 0,
+                    guesses: Some(guesses),
+                });
+            }
+            spec.validate()
+        };
+        assert!(with_guesses(vec![0, 66, 255]).is_ok());
+        let err = with_guesses(vec![66, 256]).expect_err("256 is not a key byte");
+        assert!(err.contains("attack.guesses"), "{err}");
     }
 
     #[test]

@@ -288,7 +288,7 @@ mod tests {
         let text = first.render(false);
         assert!(text.starts_with("error[QDI0101]"), "{text}");
         assert!(text.contains("t = 20 ps"), "{text}");
-        let json = qdi_obs::json::to_json(first);
+        let json = serde_json::to_string(first).expect("renders");
         assert!(json.contains("\"code\""), "{json}");
     }
 

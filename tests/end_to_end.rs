@@ -7,7 +7,7 @@ use qdi::analog::{SynthConfig, Trace, TraceSynthesizer};
 use qdi::core::model::CurrentModel;
 use qdi::crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi::dpa::selection::AesSboxSelect;
-use qdi::dpa::{attack, run_parallel_campaign, CampaignConfig};
+use qdi::dpa::{parallel_attack, run_parallel_campaign, CampaignConfig};
 use qdi::exec::ExecConfig;
 use qdi::netlist::{cells, Channel, Netlist, NetlistBuilder};
 use qdi::sim::{Testbench, TestbenchConfig};
@@ -119,7 +119,11 @@ fn full_attack_recovers_key_byte_on_unbalanced_layout() {
     let mut cfg = CampaignConfig::new(key);
     cfg.traces = 120;
     let set = run_parallel_campaign(&slice, &cfg, ExecConfig::serial()).expect("campaign");
-    let result = attack(&set, &AesSboxSelect { byte: 0, bit: 0 });
+    let result = parallel_attack(
+        &set,
+        &AesSboxSelect { byte: 0, bit: 0 },
+        ExecConfig::serial(),
+    );
     assert_eq!(
         result.best().guess,
         key as u16,
@@ -137,7 +141,11 @@ fn balanced_layout_resists_the_same_attack() {
     let mut cfg = CampaignConfig::new(key);
     cfg.traces = 120;
     let set = run_parallel_campaign(&slice, &cfg, ExecConfig::serial()).expect("campaign");
-    let result = attack(&set, &AesSboxSelect { byte: 0, bit: 0 });
+    let result = parallel_attack(
+        &set,
+        &AesSboxSelect { byte: 0, bit: 0 },
+        ExecConfig::serial(),
+    );
     let correct_peak = result
         .scores
         .iter()
