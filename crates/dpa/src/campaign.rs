@@ -1,13 +1,18 @@
-//! Trace-campaign configuration and the per-acquisition kernel: drive
-//! the gate-level AES byte slice with a plaintext and synthesize one
-//! power trace per encryption. The engines that run whole campaigns on
-//! the `qdi-exec` pool are [`crate::run_parallel_campaign`],
+//! Trace-campaign configuration and the campaign kernel: drive the
+//! gate-level AES byte slice with a plaintext and synthesize one power
+//! trace per encryption. The engines that run whole campaigns on the
+//! `qdi-exec` pool are [`crate::run_parallel_campaign`],
 //! [`crate::run_parallel_campaign_supervised`] and the resumable
-//! [`crate::StoreCampaignRunner`].
+//! [`crate::StoreCampaignRunner`]; all three acquire through one
+//! private campaign kernel that simulates each distinct plaintext once.
 
-use qdi_analog::{SynthConfig, TraceSynthesizer};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+use qdi_analog::{SynthConfig, Trace, TraceSynthesizer};
 use qdi_crypto::gatelevel::{bit_values, slice::AesByteSlice};
-use qdi_sim::{SimError, Testbench, TestbenchConfig};
+use qdi_netlist::NetId;
+use qdi_sim::{SimError, Testbench, TestbenchConfig, TestbenchRun};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -70,7 +75,7 @@ impl CampaignConfig {
 /// Draws the full plaintext schedule serially from the root RNG stream,
 /// so the plaintext of acquisition `i` is a pure function of the config
 /// — whichever worker later acquires it.
-pub(crate) fn plaintext_schedule(cfg: &CampaignConfig) -> Vec<u8> {
+fn plaintext_schedule(cfg: &CampaignConfig) -> Vec<u8> {
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut codebook: Vec<u8> = (0..=255).collect();
     (0..cfg.traces)
@@ -90,32 +95,156 @@ pub(crate) fn plaintext_schedule(cfg: &CampaignConfig) -> Vec<u8> {
         .collect()
 }
 
-/// Acquisition `index` of a campaign: simulates a four-phase computation
-/// of the slice for plaintext `pt` and synthesizes its noisy
-/// supply-current trace. The noise comes from the per-index RNG
-/// [`qdi_exec::job_rng`]`(cfg.seed, index)` and the simulation itself is
-/// deterministic, so a trace depends only on its index — never on the
-/// worker that ran it or on how many attempts it took, which is what
-/// makes per-trace retries sound.
-pub(crate) fn acquire_trace(
-    slice: &AesByteSlice,
-    cfg: &CampaignConfig,
-    synth: &TraceSynthesizer<'_>,
-    pt: u8,
-    index: usize,
-) -> Result<qdi_analog::Trace, SimError> {
-    let _prof = qdi_obs::span!(qdi_obs::Level::Trace, target: "qdi_dpa::campaign", "dpa.acquire");
+/// Upper bound, in bytes of samples, on the noiseless class traces one
+/// [`CampaignKernel`] keeps. The 256 classes of the benchmark slice's
+/// 348-sample traces take 0.7 MB; a class whose trace would push the
+/// total past the cap is simulated for every acquisition instead.
+const CLASS_CACHE_BYTES: usize = 8 << 20;
+
+/// Drives one four-phase computation of the slice: plaintext `pt` and
+/// the configured key on the inputs, sinks on the outputs.
+fn simulate(slice: &AesByteSlice, cfg: &CampaignConfig, pt: u8) -> Result<TestbenchRun, SimError> {
     let mut tb = Testbench::new(&slice.netlist, cfg.testbench)?;
-    let pbits = bit_values(pt);
-    let kbits = bit_values(cfg.key);
+    let (pbits, kbits) = (bit_values(pt), bit_values(cfg.key));
     for i in 0..8 {
         tb.source(slice.pt[i], vec![pbits[i]])?;
         tb.source(slice.key[i], vec![kbits[i]])?;
         tb.sink(slice.out[i])?;
     }
-    let run = tb.run()?;
-    let mut noise_rng = qdi_exec::job_rng(cfg.seed, index as u64);
-    Ok(synth.synthesize_noisy(&run.transitions, &mut noise_rng))
+    tb.run()
+}
+
+/// Acquires the traces of one campaign by input class.
+///
+/// The simulator draws no randomness and noise comes from the per-index
+/// RNG [`qdi_exec::job_rng`]`(cfg.seed, index)`, so acquisition `index`
+/// is the noiseless trace of its plaintext plus that index's noise. The
+/// kernel simulates and synthesizes each distinct plaintext once, keeps
+/// the noiseless trace in a per-plaintext [`OnceLock`], and adds noise
+/// per index: bit-identical to simulating every acquisition, and
+/// independent of the worker that ran it or of how many attempts it
+/// took, which is what makes per-trace retries sound.
+///
+/// Only successes are cached, so every failed acquisition still reports
+/// its own error. A successful run does not depend on the event and
+/// round budgets (they only decide whether a run fails), so a class
+/// rescued by budget escalation serves later acquisitions at any budget.
+/// The cache lives as long as the kernel: one engine call, or one
+/// [`crate::StoreCampaignRunner`].
+pub(crate) struct CampaignKernel<'a> {
+    slice: &'a AesByteSlice,
+    cfg: CampaignConfig,
+    synth: TraceSynthesizer<'a>,
+    pts: Vec<u8>,
+    /// Noiseless trace per plaintext byte.
+    classes: Vec<OnceLock<Trace>>,
+    cap_bytes: usize,
+    cached_bytes: AtomicUsize,
+    simulated: AtomicUsize,
+    hits: qdi_obs::metrics::Counter,
+    misses: qdi_obs::metrics::Counter,
+}
+
+impl<'a> CampaignKernel<'a> {
+    /// A kernel for the campaign `cfg` on `slice`, with the plaintext
+    /// schedule drawn and an empty class cache.
+    pub(crate) fn new(slice: &'a AesByteSlice, cfg: &CampaignConfig) -> Self {
+        CampaignKernel::with_cap(slice, cfg, CLASS_CACHE_BYTES)
+    }
+
+    fn with_cap(slice: &'a AesByteSlice, cfg: &CampaignConfig, cap_bytes: usize) -> Self {
+        CampaignKernel {
+            slice,
+            cfg: *cfg,
+            synth: TraceSynthesizer::new(&slice.netlist, cfg.synth),
+            pts: plaintext_schedule(cfg),
+            classes: (0..256).map(|_| OnceLock::new()).collect(),
+            cap_bytes,
+            cached_bytes: AtomicUsize::new(0),
+            simulated: AtomicUsize::new(0),
+            hits: qdi_obs::metrics::counter("dpa.class_cache.hits"),
+            misses: qdi_obs::metrics::counter("dpa.class_cache.misses"),
+        }
+    }
+
+    /// The campaign configuration.
+    pub(crate) fn config(&self) -> &CampaignConfig {
+        &self.cfg
+    }
+
+    /// The plaintext of acquisition `index`.
+    pub(crate) fn plaintext(&self, index: usize) -> u8 {
+        self.pts[index]
+    }
+
+    /// Simulations run so far: the number of distinct plaintexts
+    /// acquired, unless a class failed, did not fit the cache, or was
+    /// missed by two workers at once.
+    pub(crate) fn classes_simulated(&self) -> usize {
+        self.simulated.load(Ordering::Relaxed)
+    }
+
+    /// Acquisition `index`, simulated (on a cache miss) with the event
+    /// and round budgets of the config multiplied by `budget`; pass 1
+    /// for the configured budgets.
+    pub(crate) fn acquire(&self, index: usize, budget: u64) -> Result<Trace, SimError> {
+        let _prof =
+            qdi_obs::span!(qdi_obs::Level::Trace, target: "qdi_dpa::campaign", "dpa.acquire");
+        let pt = self.pts[index];
+        let class = &self.classes[usize::from(pt)];
+        let mut trace = if let Some(cached) = class.get() {
+            self.hits.inc();
+            cached.clone()
+        } else {
+            self.misses.inc();
+            self.simulated.fetch_add(1, Ordering::Relaxed);
+            let mut cfg = self.cfg;
+            cfg.testbench.event_limit = cfg.testbench.event_limit.saturating_mul(budget);
+            cfg.testbench.max_rounds = cfg.testbench.max_rounds.saturating_mul(budget);
+            let run = simulate(self.slice, &cfg, pt)?;
+            self.keep(class, self.synth.synthesize(&run.transitions))
+        };
+        let _noise =
+            qdi_obs::span!(qdi_obs::Level::Trace, target: "qdi_dpa::campaign", "analog.noise");
+        let mut rng = qdi_exec::job_rng(self.cfg.seed, index as u64);
+        trace.add_gaussian_noise(&mut rng, self.cfg.synth.noise_sigma);
+        Ok(trace)
+    }
+
+    /// Caches `trace` as its class's noiseless trace if it fits under the
+    /// cap, and returns it.
+    fn keep(&self, class: &OnceLock<Trace>, trace: Trace) -> Trace {
+        let bytes = trace.len() * std::mem::size_of::<f64>();
+        let before = self.cached_bytes.fetch_add(bytes, Ordering::Relaxed);
+        // A concurrent worker may have cached the same class first; its
+        // trace has the same bits, so either copy serves.
+        if before + bytes > self.cap_bytes || class.set(trace.clone()).is_err() {
+            self.cached_bytes.fetch_sub(bytes, Ordering::Relaxed);
+        }
+        trace
+    }
+}
+
+/// The span in which `rails` make their rising (evaluation) transitions
+/// in a reference simulation of plaintext `0x5A`, padded by `pad_ps` on
+/// both sides. Without such a transition the span opens at 0 and closes
+/// at the end of the run.
+fn rising_window(
+    slice: &AesByteSlice,
+    cfg: &CampaignConfig,
+    rails: &[NetId],
+    pad_ps: u64,
+) -> Result<(u64, u64), SimError> {
+    let run = simulate(slice, cfg, 0x5A)?;
+    let rising = || {
+        run.transitions
+            .iter()
+            .filter(|t| t.rising && rails.contains(&t.net))
+            .map(|t| t.time_ps)
+    };
+    let first = rising().min().unwrap_or(0);
+    let last = rising().max().unwrap_or(run.end_time_ps);
+    Ok((first.saturating_sub(pad_ps), last + pad_ps))
 }
 
 /// Calibrates a point-of-interest window for attacks on the slice: the
@@ -131,31 +260,12 @@ pub fn output_window(
     cfg: &CampaignConfig,
     pad_ps: u64,
 ) -> Result<(u64, u64), SimError> {
-    let mut tb = Testbench::new(&slice.netlist, cfg.testbench)?;
-    let pbits = bit_values(0x5A);
-    let kbits = bit_values(cfg.key);
-    for i in 0..8 {
-        tb.source(slice.pt[i], vec![pbits[i]])?;
-        tb.source(slice.key[i], vec![kbits[i]])?;
-        tb.sink(slice.out[i])?;
-    }
-    let run = tb.run()?;
-    let out_rails: Vec<_> = slice
+    let out_rails: Vec<NetId> = slice
         .out
         .iter()
         .flat_map(|&c| slice.netlist.channel(c).rails.clone())
         .collect();
-    let mut first: Option<u64> = None;
-    let mut last: Option<u64> = None;
-    for t in &run.transitions {
-        if t.rising && out_rails.contains(&t.net) {
-            first = Some(first.map_or(t.time_ps, |f| f.min(t.time_ps)));
-            last = Some(last.map_or(t.time_ps, |l| l.max(t.time_ps)));
-        }
-    }
-    let first = first.unwrap_or(0);
-    let last = last.unwrap_or(run.end_time_ps);
-    Ok((first.saturating_sub(pad_ps), last + pad_ps))
+    rising_window(slice, cfg, &out_rails, pad_ps)
 }
 
 /// Like [`output_window`] but calibrated on the AddRoundKey stage: the
@@ -187,26 +297,7 @@ pub fn xor_stage_window(
             rails.push(net);
         }
     }
-    let mut tb = Testbench::new(&slice.netlist, cfg.testbench)?;
-    let pbits = bit_values(0x5A);
-    let kbits = bit_values(cfg.key);
-    for i in 0..8 {
-        tb.source(slice.pt[i], vec![pbits[i]])?;
-        tb.source(slice.key[i], vec![kbits[i]])?;
-        tb.sink(slice.out[i])?;
-    }
-    let run = tb.run()?;
-    let mut first: Option<u64> = None;
-    let mut last: Option<u64> = None;
-    for t in &run.transitions {
-        if t.rising && rails.contains(&t.net) {
-            first = Some(first.map_or(t.time_ps, |f| f.min(t.time_ps)));
-            last = Some(last.map_or(t.time_ps, |l| l.max(t.time_ps)));
-        }
-    }
-    let first = first.unwrap_or(0);
-    let last = last.unwrap_or(run.end_time_ps);
-    Ok((first.saturating_sub(pad_ps), last + pad_ps))
+    rising_window(slice, cfg, &rails, pad_ps)
 }
 
 #[cfg(test)]
@@ -216,6 +307,151 @@ mod tests {
     use crate::selection::{AesSboxSelect, AesXorSelect};
     use qdi_crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
     use qdi_exec::ExecConfig;
+
+    fn noisy_cfg(plaintexts: PlaintextSource, traces: usize) -> CampaignConfig {
+        let mut cfg = CampaignConfig::full_codebook(0x3C);
+        cfg.plaintexts = plaintexts;
+        cfg.traces = traces;
+        cfg.seed = 29;
+        cfg.synth.noise_sigma = 0.02;
+        cfg
+    }
+
+    /// The XOR slice with the rail-1 latch of bit `i` at `10 + 4·i` fF,
+    /// so that every plaintext byte has its own noiseless trace (on the
+    /// balanced slice, classes can share their bits).
+    fn skewed_slice() -> AesByteSlice {
+        let mut slice = aes_first_round_slice("s", SliceStage::XorOnly).expect("builds");
+        for i in 0..8u8 {
+            let rail = slice
+                .netlist
+                .find_net(&format!("ak.x{i}.h2"))
+                .expect("rail");
+            slice
+                .netlist
+                .set_routing_cap(rail, 10.0 + 4.0 * f64::from(i));
+        }
+        slice
+    }
+
+    /// Acquisition `index` rebuilt from public calls only: a fresh
+    /// testbench, noiseless synthesis, then the index's own noise.
+    fn replica(slice: &AesByteSlice, cfg: &CampaignConfig, pt: u8, index: usize) -> Trace {
+        let mut tb = Testbench::new(&slice.netlist, cfg.testbench).expect("testbench");
+        let (pbits, kbits) = (bit_values(pt), bit_values(cfg.key));
+        for i in 0..8 {
+            tb.source(slice.pt[i], vec![pbits[i]]).expect("pt source");
+            tb.source(slice.key[i], vec![kbits[i]]).expect("key source");
+            tb.sink(slice.out[i]).expect("sink");
+        }
+        let run = tb.run().expect("runs");
+        let mut trace =
+            TraceSynthesizer::new(&slice.netlist, cfg.synth).synthesize(&run.transitions);
+        let mut rng = qdi_exec::job_rng(cfg.seed, index as u64);
+        trace.add_gaussian_noise(&mut rng, cfg.synth.noise_sigma);
+        trace
+    }
+
+    #[test]
+    fn class_cached_campaign_equals_a_per_trace_replica_at_every_worker_count() {
+        let slice = skewed_slice();
+        // Three codebook passes, the last one partial, so every class is
+        // served from the cache at least once.
+        for source in [PlaintextSource::FullCodebook, PlaintextSource::Random] {
+            let cfg = noisy_cfg(source, 2 * 256 + 17);
+            let schedule = plaintext_schedule(&cfg);
+            let golden: Vec<Trace> = (0..cfg.traces)
+                .map(|i| replica(&slice, &cfg, schedule[i], i))
+                .collect();
+            for workers in [1, 2, 8] {
+                let set =
+                    run_parallel_campaign(&slice, &cfg, ExecConfig { workers }).expect("runs");
+                assert_eq!(set.len(), cfg.traces);
+                for (i, expected) in golden.iter().enumerate() {
+                    assert_eq!(set.input(i), &[schedule[i]], "{source:?} plaintext {i}");
+                    assert_eq!(
+                        set.trace(i).samples(),
+                        expected.samples(),
+                        "{source:?} trace {i} @ {workers} workers"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn classes_past_the_cap_are_simulated_per_trace_with_the_same_bits() {
+        let slice = skewed_slice();
+        let cfg = noisy_cfg(PlaintextSource::FullCodebook, 300);
+        let cached = CampaignKernel::new(&slice, &cfg);
+        let pair = [cached.plaintext(0), cached.plaintext(1)];
+        let noiseless = pair.map(|pt| {
+            let run = simulate(&slice, &cfg, pt).expect("runs");
+            cached.synth.synthesize(&run.transitions)
+        });
+        assert_ne!(
+            noiseless[0].samples(),
+            noiseless[1].samples(),
+            "distinct plaintexts must give distinct traces, or the cache key goes untested"
+        );
+        let one_trace = cached.acquire(0, 1).expect("acquires").len() * 8;
+        // No room at all, and room for a handful of classes.
+        for cap in [0, 5 * one_trace] {
+            let capped = CampaignKernel::with_cap(&slice, &cfg, cap);
+            for i in 0..cfg.traces {
+                assert_eq!(
+                    capped.acquire(i, 1).expect("acquires").samples(),
+                    cached.acquire(i, 1).expect("acquires").samples(),
+                    "trace {i} with a {cap}-byte cap"
+                );
+            }
+            assert!(
+                capped.classes_simulated() > cfg.traces - 6,
+                "past the cap every trace is simulated: {}",
+                capped.classes_simulated()
+            );
+        }
+        assert_eq!(cached.classes_simulated(), 256, "one simulation per class");
+    }
+
+    #[test]
+    fn failures_are_not_cached_and_successes_serve_any_budget() {
+        let slice = skewed_slice();
+        let mut cfg = noisy_cfg(PlaintextSource::FullCodebook, 512);
+        cfg.testbench.event_limit = 40;
+        cfg.testbench.max_rounds = 40;
+        let kernel = CampaignKernel::new(&slice, &cfg);
+        let pt = kernel.plaintext(0);
+        let twin = (256..512)
+            .find(|&i| kernel.plaintext(i) == pt)
+            .expect("the second pass repeats every plaintext");
+        for _ in 0..2 {
+            let err = kernel.acquire(0, 1).expect_err("the budget is too small");
+            assert!(
+                matches!(
+                    err,
+                    SimError::EventLimit { .. } | SimError::SimTimeout { .. }
+                ),
+                "{err:?}"
+            );
+        }
+        assert_eq!(
+            kernel.classes_simulated(),
+            2,
+            "a failure is simulated again"
+        );
+        let rescued = kernel
+            .acquire(0, 1 << 20)
+            .expect("an escalated budget fits");
+        // The class is now cached, so the starved budget no longer
+        // matters, and the noise still follows the index.
+        let later = kernel.acquire(twin, 1).expect("served from the cache");
+        assert_eq!(kernel.classes_simulated(), 3);
+        let mut roomy = cfg;
+        roomy.testbench = TestbenchConfig::default();
+        assert_eq!(rescued.samples(), replica(&slice, &roomy, pt, 0).samples());
+        assert_eq!(later.samples(), replica(&slice, &roomy, pt, twin).samples());
+    }
 
     #[test]
     fn campaign_produces_aligned_traces() {

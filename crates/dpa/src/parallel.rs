@@ -11,6 +11,9 @@
 //!   acquisition `i` its own noise RNG
 //!   [`qdi_exec::job_rng`]`(cfg.seed, i)` — so a trace's noise depends
 //!   only on its index, never on which worker ran it or in what order.
+//!   The noiseless part is simulated once per distinct plaintext and
+//!   shared by every acquisition of that plaintext (DESIGN.md §4e,
+//!   "Acquire by input class").
 //! * **Fixed-shard accumulation.** Every bias — [`parallel_bias_signal`],
 //!   each guess of [`parallel_attack_windowed`], and
 //!   [`crate::bias_signal_from_store`] — folds traces into per-shard
@@ -24,13 +27,13 @@
 
 use std::ops::Range;
 
-use qdi_analog::{Trace, TraceSynthesizer};
+use qdi_analog::Trace;
 use qdi_crypto::gatelevel::slice::AesByteSlice;
 use qdi_exec::ExecConfig;
 use qdi_sim::SimError;
 
 use crate::attack::{score_bias, sort_scores, AttackResult, BiasAccumulator, GuessScore};
-use crate::campaign::{acquire_trace, plaintext_schedule, CampaignConfig};
+use crate::campaign::{CampaignConfig, CampaignKernel};
 use crate::selection::SelectionFunction;
 use crate::traceset::TraceSet;
 
@@ -58,23 +61,23 @@ pub fn run_parallel_campaign(
         .field("workers", exec.workers)
         .enter();
     let start = std::time::Instant::now();
-    let pts = plaintext_schedule(cfg);
-    let synth = TraceSynthesizer::new(&slice.netlist, cfg.synth);
+    let kernel = CampaignKernel::new(slice, cfg);
     // Inert unless `qdi_obs::progress` is enabled; `qdi-mon watch` tails
     // the streamed snapshots for a live completed/total + ETA view.
     let progress = qdi_obs::progress::task("dpa.campaign", cfg.traces);
     let traces = qdi_exec::try_run_indexed(&exec, cfg.traces, |i| {
-        let trace = acquire_trace(slice, cfg, &synth, pts[i], i);
+        let trace = kernel.acquire(i, 1);
         progress.advance(1);
         trace
     })?;
     progress.finish();
     let mut set = TraceSet::new();
-    for (pt, trace) in pts.into_iter().zip(traces) {
-        set.push(vec![pt], trace);
+    for (i, trace) in traces.into_iter().enumerate() {
+        set.push(vec![kernel.plaintext(i)], trace);
     }
     qdi_obs::metrics::counter("dpa.traces").add(set.len() as u64);
     let elapsed = start.elapsed().as_secs_f64();
+    span.record("classes_simulated", kernel.classes_simulated());
     span.record("wall_s", elapsed);
     if elapsed > 0.0 {
         span.record("traces_per_s", set.len() as f64 / elapsed);
@@ -125,11 +128,11 @@ pub fn run_parallel_campaign_supervised(
         .field("traces", cfg.traces)
         .field("workers", exec.workers)
         .enter();
-    let pts = plaintext_schedule(cfg);
-    let synth = TraceSynthesizer::new(&slice.netlist, cfg.synth);
+    let kernel = CampaignKernel::new(slice, cfg);
     let progress = qdi_obs::progress::task("dpa.campaign", cfg.traces);
     let run = qdi_exec::run_supervised(&exec, policy, cfg.seed, cfg.traces, |i| {
-        let trace = acquire_trace(slice, cfg, &synth, pts[i], i)
+        let trace = kernel
+            .acquire(i, 1)
             .map_err(|e| format!("simulation failed: {e:?}"))?;
         progress.advance(1);
         Ok::<_, String>(trace)
@@ -139,11 +142,12 @@ pub fn run_parallel_campaign_supervised(
     let mut indices = Vec::new();
     for (i, outcome) in run.outcomes.into_iter().enumerate() {
         if let Some(trace) = outcome.into_value() {
-            set.push(vec![pts[i]], trace);
+            set.push(vec![kernel.plaintext(i)], trace);
             indices.push(i);
         }
     }
     qdi_obs::metrics::counter("dpa.traces").add(set.len() as u64);
+    span.record("classes_simulated", kernel.classes_simulated());
     span.record("completed", set.len());
     span.record("quarantined", run.quarantine.len());
     span.record("retries", run.retries);

@@ -23,7 +23,7 @@ use std::error::Error;
 use std::fmt;
 use std::path::Path;
 
-use qdi_analog::{Trace, TraceSynthesizer};
+use qdi_analog::Trace;
 use qdi_crypto::gatelevel::slice::AesByteSlice;
 use qdi_exec::store::{StoreOptions, StoreReader, StoreWriter};
 use qdi_exec::{run_supervised, ExecConfig, Quarantine, StoreError, SupervisorPolicy};
@@ -31,8 +31,7 @@ use qdi_sim::SimError;
 use serde::{Deserialize, Serialize};
 
 use crate::attack::BiasAccumulator;
-use crate::campaign::CampaignConfig;
-use crate::campaign::{acquire_trace, plaintext_schedule};
+use crate::campaign::{CampaignConfig, CampaignKernel};
 use crate::parallel::shard_ranges;
 use crate::selection::SelectionFunction;
 use crate::traceset::{TraceSet, TraceSetError};
@@ -311,21 +310,14 @@ fn store_fingerprint(cfg: &CampaignConfig, workers: usize) -> String {
 /// repeat. The noise RNG is re-derived from the index each attempt, so
 /// a rescued trace is bit-identical to an undisturbed acquisition.
 fn acquire_resilient(
-    slice: &AesByteSlice,
-    cfg: &CampaignConfig,
-    synth: &TraceSynthesizer<'_>,
+    kernel: &CampaignKernel<'_>,
     resilience: &ResilienceConfig,
-    pt: u8,
     index: usize,
 ) -> Result<Trace, CampaignError> {
     let backoff = resilience.budget_backoff.max(2);
     let mut attempt = 0u32;
     loop {
-        let mut try_cfg = *cfg;
-        let factor = backoff.saturating_pow(attempt);
-        try_cfg.testbench.event_limit = try_cfg.testbench.event_limit.saturating_mul(factor);
-        try_cfg.testbench.max_rounds = try_cfg.testbench.max_rounds.saturating_mul(factor);
-        match acquire_trace(slice, &try_cfg, synth, pt, index) {
+        match kernel.acquire(index, backoff.saturating_pow(attempt)) {
             Ok(trace) => return Ok(trace),
             Err(SimError::EventLimit { .. } | SimError::SimTimeout { .. })
                 if attempt < resilience.max_retries =>
@@ -341,14 +333,12 @@ fn acquire_resilient(
 /// Store-backed parallel campaign: acquires chunks of traces on the
 /// `qdi-exec` pool (per-index noise seeding, worker-count invariant) and
 /// appends them to a `.qtrs` store in index order. Peak resident trace
-/// memory is one chunk.
+/// memory is one chunk plus at most 256 noiseless class traces (the
+/// runner's class cache, DESIGN.md §4e).
 pub struct StoreCampaignRunner<'a> {
-    slice: &'a AesByteSlice,
-    cfg: CampaignConfig,
+    kernel: CampaignKernel<'a>,
     resilience: ResilienceConfig,
     exec: ExecConfig,
-    synth: TraceSynthesizer<'a>,
-    pts: Vec<u8>,
     writer: StoreWriter,
     store_path: String,
     completed: usize,
@@ -362,7 +352,7 @@ impl std::fmt::Debug for StoreCampaignRunner<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreCampaignRunner")
             .field("completed", &self.completed)
-            .field("target", &self.cfg.traces)
+            .field("target", &self.kernel.config().traces)
             .field("store", &self.store_path)
             .finish()
     }
@@ -385,12 +375,9 @@ impl<'a> StoreCampaignRunner<'a> {
         let store_path = store_path.as_ref().to_string_lossy().into_owned();
         let writer = StoreWriter::create(&store_path, 0, cfg.synth.dt_ps, opts)?;
         Ok(StoreCampaignRunner {
-            slice,
-            cfg,
+            kernel: CampaignKernel::new(slice, &cfg),
             resilience,
             exec,
-            synth: TraceSynthesizer::new(&slice.netlist, cfg.synth),
-            pts: plaintext_schedule(&cfg),
             writer,
             store_path,
             completed: 0,
@@ -461,12 +448,9 @@ impl<'a> StoreCampaignRunner<'a> {
         let progress = qdi_obs::progress::task("dpa.store_campaign", cfg.traces);
         progress.advance(checkpoint.completed);
         Ok(StoreCampaignRunner {
-            slice,
-            cfg,
+            kernel: CampaignKernel::new(slice, &cfg),
             resilience,
             exec,
-            synth: TraceSynthesizer::new(&slice.netlist, cfg.synth),
-            pts: plaintext_schedule(&cfg),
             writer,
             store_path: checkpoint.store_path,
             completed: checkpoint.completed,
@@ -482,7 +466,7 @@ impl<'a> StoreCampaignRunner<'a> {
     /// taken, so the checkpoint never points past durable data.
     pub fn checkpoint(&self) -> StoreCheckpoint {
         StoreCheckpoint {
-            fingerprint: store_fingerprint(&self.cfg, self.exec.workers),
+            fingerprint: store_fingerprint(self.kernel.config(), self.exec.workers),
             completed: self.completed,
             store_path: self.store_path.clone(),
             store_offset: self.writer.offset(),
@@ -511,7 +495,7 @@ impl<'a> StoreCampaignRunner<'a> {
 
     /// `true` once all `cfg.traces` acquisitions are stored.
     pub fn is_done(&self) -> bool {
-        self.completed >= self.cfg.traces
+        self.completed >= self.kernel.config().traces
     }
 
     /// Acquires the next chunk of up to
@@ -539,19 +523,16 @@ impl<'a> StoreCampaignRunner<'a> {
             return Ok(false);
         }
         let lo = self.completed;
-        let hi = (lo + self.resilience.checkpoint_every.max(1)).min(self.cfg.traces);
-        let (slice, cfg, synth, pts, resilience) = (
-            self.slice,
-            &self.cfg,
-            &self.synth,
-            &self.pts,
-            &self.resilience,
-        );
-        let progress = &self.progress;
+        let hi = (lo + self.resilience.checkpoint_every.max(1)).min(self.kernel.config().traces);
+        let mut span = qdi_obs::span("qdi_dpa::store", "store_campaign_chunk")
+            .field("traces", hi - lo)
+            .field("workers", self.exec.workers)
+            .enter();
+        let (kernel, resilience, progress) = (&self.kernel, &self.resilience, &self.progress);
+        let seed = kernel.config().seed;
         if let Some(policy) = &self.supervisor {
-            let run = run_supervised(&self.exec, policy, cfg.seed, hi - lo, |j| {
-                let index = lo + j;
-                let trace = acquire_resilient(slice, cfg, synth, resilience, pts[index], index)?;
+            let run = run_supervised(&self.exec, policy, seed, hi - lo, |j| {
+                let trace = acquire_resilient(kernel, resilience, lo + j)?;
                 progress.advance(1);
                 Ok::<_, CampaignError>(trace)
             });
@@ -560,28 +541,28 @@ impl<'a> StoreCampaignRunner<'a> {
             let mut quarantine = run.quarantine;
             for entry in &mut quarantine.entries {
                 entry.index += lo;
-                entry.job_seed = qdi_exec::derive_seed(cfg.seed, entry.index as u64);
+                entry.job_seed = qdi_exec::derive_seed(seed, entry.index as u64);
             }
             for (j, outcome) in run.outcomes.into_iter().enumerate() {
                 if let Some(trace) = outcome.into_value() {
-                    self.writer.append(&[pts[lo + j]], &trace)?;
+                    self.writer.append(&[kernel.plaintext(lo + j)], &trace)?;
                 }
             }
             self.quarantined.extend(quarantine.indices());
             self.manifest.entries.extend(quarantine.entries);
         } else {
             let traces = qdi_exec::try_run_indexed(&self.exec, hi - lo, |j| {
-                let index = lo + j;
-                let trace = acquire_resilient(slice, cfg, synth, resilience, pts[index], index)?;
+                let trace = acquire_resilient(kernel, resilience, lo + j)?;
                 progress.advance(1);
                 Ok::<_, CampaignError>(trace)
             })?;
             for (j, trace) in traces.iter().enumerate() {
-                self.writer.append(&[pts[lo + j]], trace)?;
+                self.writer.append(&[kernel.plaintext(lo + j)], trace)?;
             }
         }
         self.writer.flush()?;
         self.completed = hi;
+        span.record("classes_simulated", kernel.classes_simulated());
         Ok(true)
     }
 
@@ -609,32 +590,26 @@ impl<'a> StoreCampaignRunner<'a> {
             return Ok(0);
         }
         let indices = std::mem::take(&mut self.quarantined);
-        let (slice, cfg, synth, pts, resilience) = (
-            self.slice,
-            &self.cfg,
-            &self.synth,
-            &self.pts,
-            &self.resilience,
-        );
-        let progress = &self.progress;
+        let (kernel, resilience, progress) = (&self.kernel, &self.resilience, &self.progress);
+        let seed = kernel.config().seed;
         let idx = &indices;
-        let run = run_supervised(&self.exec, policy, cfg.seed, idx.len(), |j| {
-            let index = idx[j];
-            let trace = acquire_resilient(slice, cfg, synth, resilience, pts[index], index)?;
+        let run = run_supervised(&self.exec, policy, seed, idx.len(), |j| {
+            let trace = acquire_resilient(kernel, resilience, idx[j])?;
             progress.advance(1);
             Ok::<_, CampaignError>(trace)
         });
         let mut quarantine = run.quarantine;
         for entry in &mut quarantine.entries {
             entry.index = indices[entry.index];
-            entry.job_seed = qdi_exec::derive_seed(cfg.seed, entry.index as u64);
+            entry.job_seed = qdi_exec::derive_seed(seed, entry.index as u64);
         }
         let mut recovered = 0usize;
         let mut still = Vec::new();
         for (j, outcome) in run.outcomes.into_iter().enumerate() {
             match outcome.into_value() {
                 Some(trace) => {
-                    self.writer.append(&[pts[indices[j]]], &trace)?;
+                    self.writer
+                        .append(&[kernel.plaintext(indices[j])], &trace)?;
                     recovered += 1;
                 }
                 None => still.push(indices[j]),

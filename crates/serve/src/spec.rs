@@ -194,12 +194,13 @@ fn stage_netlist(stage: &str) -> &'static Netlist {
 
 impl JobSpec {
     /// Validates service-level invariants (tenant charset, stage names,
-    /// bounded trace/seed counts) and a DPA job's synthesis parameters
+    /// bounded trace/seed counts), a DPA job's synthesis parameters
     /// ([`qdi_analog::SynthConfig::validate`] against
-    /// [`MAX_PULSE_SUPPORT_PS`]), which would otherwise fail every trace
-    /// or allocate without bound before the first. Other science
-    /// parameters are left to the library layer, which reports its own
-    /// errors.
+    /// [`MAX_PULSE_SUPPORT_PS`]) and the simulator budgets of DPA and FI
+    /// jobs ([`qdi_sim::TestbenchConfig::validate`]), which would
+    /// otherwise fail every trace, never stop, or allocate without bound
+    /// before the first. Other science parameters are left to the
+    /// library layer, which reports its own errors.
     ///
     /// # Errors
     ///
@@ -230,6 +231,7 @@ impl JobSpec {
                 dpa.campaign
                     .synth
                     .validate(stage_netlist(&dpa.stage), MAX_PULSE_SUPPORT_PS)?;
+                dpa.campaign.testbench.validate()?;
                 if dpa.exec_workers == Some(0) {
                     return Err("exec_workers must be at least 1".into());
                 }
@@ -263,6 +265,7 @@ impl JobSpec {
                 }
                 qdi_fi::parse_models(&fi.models)
                     .map_err(|m| format!("unknown fault model {m:?}"))?;
+                fi.campaign.testbench.validate()?;
                 if fi.sample == Some(0) {
                     return Err("sample must be at least 1".into());
                 }
@@ -376,6 +379,55 @@ mod tests {
         assert!(with_guesses(vec![0, 66, 255]).is_ok());
         let err = with_guesses(vec![66, 256]).expect_err("256 is not a key byte");
         assert!(err.contains("attack.guesses"), "{err}");
+    }
+
+    #[test]
+    fn testbench_budgets_are_checked_for_dpa_and_fi_jobs() {
+        let fi_spec = |testbench| JobSpec {
+            tenant: "alice".into(),
+            name: None,
+            priority: None,
+            kind: JobKind::Fi(FiJobSpec {
+                stage: "xor".into(),
+                campaign: qdi_fi::campaign::CampaignConfig {
+                    testbench,
+                    ..qdi_fi::campaign::CampaignConfig::new()
+                },
+                models: "seu".into(),
+                times_ps: None,
+                sample: None,
+            }),
+        };
+        let dpa_spec_with = |testbench| {
+            let mut spec = dpa_spec();
+            if let JobKind::Dpa(dpa) = &mut spec.kind {
+                dpa.campaign.testbench = testbench;
+            }
+            spec
+        };
+        let default = qdi_sim::TestbenchConfig::default();
+        let tight = qdi_sim::TestbenchConfig {
+            event_limit: 40,
+            max_rounds: 40,
+            ..default
+        };
+        assert!(dpa_spec_with(tight).validate().is_ok());
+        assert!(fi_spec(tight).validate().is_ok());
+        let unbounded = qdi_sim::TestbenchConfig {
+            event_limit: u64::MAX,
+            ..default
+        };
+        let mut deaf = default;
+        deaf.watchdog.livelock_toggles = 0;
+        for (cfg, field) in [
+            (unbounded, "testbench.event_limit"),
+            (deaf, "testbench.watchdog.livelock_toggles"),
+        ] {
+            for spec in [dpa_spec_with(cfg), fi_spec(cfg)] {
+                let err = spec.validate().expect_err("rejected");
+                assert!(err.contains(field), "{err}");
+            }
+        }
     }
 
     #[test]

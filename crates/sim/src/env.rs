@@ -33,6 +33,17 @@ pub struct TestbenchConfig {
 }
 
 impl TestbenchConfig {
+    /// Largest `event_limit` [`TestbenchConfig::validate`] admits, twice
+    /// the default. A quiescence run logs at most this many 16-byte
+    /// transitions, 1.6 GB.
+    pub const MAX_EVENT_LIMIT: u64 = 100_000_000;
+    /// Largest `max_rounds` [`TestbenchConfig::validate`] admits, ten
+    /// times the default.
+    pub const MAX_ROUNDS: u64 = 10_000_000;
+    /// Largest `watchdog.activity_tail` [`TestbenchConfig::validate`]
+    /// admits: a failed run fingerprints at most this many transitions.
+    pub const MAX_ACTIVITY_TAIL: usize = 65_536;
+
     /// Defaults suitable for cells up to a few tens of thousands of gates.
     pub fn new() -> Self {
         TestbenchConfig {
@@ -41,6 +52,48 @@ impl TestbenchConfig {
             max_rounds: 1_000_000,
             watchdog: WatchdogConfig::new(),
         }
+    }
+
+    /// Checks a configuration that arrives from outside the program (a
+    /// served job spec) before any testbench runs with it:
+    ///
+    /// * `event_limit` is in `1..=`[`TestbenchConfig::MAX_EVENT_LIMIT`];
+    /// * `max_rounds` is in `1..=`[`TestbenchConfig::MAX_ROUNDS`];
+    /// * `watchdog.activity_tail` is at most
+    ///   [`TestbenchConfig::MAX_ACTIVITY_TAIL`];
+    /// * `watchdog.livelock_toggles` is in `1..=activity_tail`. Toggles
+    ///   are counted within the tail, so a larger threshold could never
+    ///   fire, and every livelock would be reported as a budget failure
+    ///   that budget escalation retries in vain.
+    ///
+    /// # Errors
+    ///
+    /// A reason naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        for (field, value, max) in [
+            ("event_limit", self.event_limit, Self::MAX_EVENT_LIMIT),
+            ("max_rounds", self.max_rounds, Self::MAX_ROUNDS),
+        ] {
+            if value == 0 || value > max {
+                return Err(format!(
+                    "testbench.{field} must be in 1..={max}, got {value}"
+                ));
+            }
+        }
+        let tail = self.watchdog.activity_tail;
+        if tail > Self::MAX_ACTIVITY_TAIL {
+            return Err(format!(
+                "testbench.watchdog.activity_tail must be at most {}, got {tail}",
+                Self::MAX_ACTIVITY_TAIL
+            ));
+        }
+        let toggles = self.watchdog.livelock_toggles;
+        if toggles == 0 || toggles as usize > tail {
+            return Err(format!(
+                "testbench.watchdog.livelock_toggles must be in 1..=activity_tail ({tail}), got {toggles}"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -439,6 +492,50 @@ impl<'a> Testbench<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_accepts_the_default_and_names_each_bad_field() {
+        assert_eq!(TestbenchConfig::default().validate(), Ok(()));
+        let bad = |edit: fn(&mut TestbenchConfig)| {
+            let mut cfg = TestbenchConfig::default();
+            edit(&mut cfg);
+            cfg.validate().expect_err("rejected")
+        };
+        for (err, field) in [
+            (bad(|c| c.event_limit = 0), "testbench.event_limit"),
+            (
+                bad(|c| c.event_limit = TestbenchConfig::MAX_EVENT_LIMIT + 1),
+                "testbench.event_limit",
+            ),
+            (bad(|c| c.max_rounds = 0), "testbench.max_rounds"),
+            (bad(|c| c.max_rounds = u64::MAX), "testbench.max_rounds"),
+            (
+                bad(|c| c.watchdog.activity_tail = usize::MAX),
+                "testbench.watchdog.activity_tail",
+            ),
+            (
+                bad(|c| c.watchdog.livelock_toggles = 0),
+                "testbench.watchdog.livelock_toggles",
+            ),
+            (
+                bad(|c| c.watchdog.livelock_toggles = 513),
+                "testbench.watchdog.livelock_toggles",
+            ),
+        ] {
+            assert!(err.starts_with(field), "{err}");
+        }
+        let edge = TestbenchConfig {
+            event_limit: TestbenchConfig::MAX_EVENT_LIMIT,
+            max_rounds: 1,
+            watchdog: WatchdogConfig {
+                activity_tail: TestbenchConfig::MAX_ACTIVITY_TAIL,
+                livelock_toggles: 1,
+                ..WatchdogConfig::new()
+            },
+            ..TestbenchConfig::default()
+        };
+        assert_eq!(edge.validate(), Ok(()));
+    }
     use qdi_netlist::{cells, Channel, Netlist, NetlistBuilder};
 
     fn xor_netlist() -> (Netlist, Channel, Channel, Channel) {

@@ -7,8 +7,11 @@ use qdi::analog::{SynthConfig, Trace, TraceSynthesizer};
 use qdi::core::model::CurrentModel;
 use qdi::crypto::gatelevel::slice::{aes_first_round_slice, SliceStage};
 use qdi::dpa::selection::AesSboxSelect;
-use qdi::dpa::{parallel_attack, run_parallel_campaign, CampaignConfig};
-use qdi::exec::ExecConfig;
+use qdi::dpa::{
+    parallel_attack, run_parallel_campaign, CampaignConfig, ResilienceConfig, StoreCampaignRunner,
+    StoreCheckpoint, TraceSet,
+};
+use qdi::exec::{ExecConfig, StoreOptions};
 use qdi::netlist::{cells, Channel, Netlist, NetlistBuilder};
 use qdi::sim::{Testbench, TestbenchConfig};
 
@@ -182,7 +185,7 @@ fn noisy_campaign_is_bit_identical_at_one_and_two_workers() {
 }
 
 /// FNV-1a over the bit pattern of every sample, in campaign order.
-fn sample_digest(set: &qdi::dpa::TraceSet) -> u64 {
+fn sample_digest(set: &TraceSet) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for (_, trace) in set.iter() {
         for s in trace.samples() {
@@ -217,4 +220,58 @@ fn skewed_sbox_campaign_samples_match_their_pinned_digest() {
             "{workers}-worker sample digest"
         );
     }
+}
+
+#[test]
+fn crashed_store_campaign_resumes_to_the_same_samples() {
+    // The resume contract: a campaign checkpointed after one chunk,
+    // killed with a torn record at the store tail and resumed, stores
+    // exactly the samples of an uninterrupted run.
+    let slice = aes_first_round_slice("slice", SliceStage::XorOnly).expect("builds");
+    let mut cfg = CampaignConfig::full_codebook(0x42);
+    cfg.traces = 40;
+    cfg.seed = 5;
+    cfg.synth.noise_sigma = 0.02;
+    let exec = ExecConfig { workers: 2 };
+    let resilience = ResilienceConfig {
+        checkpoint_every: 16,
+        ..ResilienceConfig::new()
+    };
+    let dir = std::env::temp_dir();
+    let store = dir.join(format!("qdi_e2e_resume_{}.qtrs", std::process::id()));
+    let ckpt = dir.join(format!("qdi_e2e_resume_{}.ckpt.json", std::process::id()));
+
+    let mut first =
+        StoreCampaignRunner::new(&slice, cfg, resilience, exec, &store, StoreOptions::new())
+            .expect("creates the store");
+    assert!(first.step_chunk().expect("first chunk"));
+    first
+        .checkpoint()
+        .save(&ckpt)
+        .expect("saves the checkpoint");
+    drop(first);
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&store)
+        .expect("opens the store");
+    std::io::Write::write_all(&mut file, &[0x51, 0x54, 0x52, 0x53, 0x00]).expect("torn tail");
+    drop(file);
+
+    let checkpoint = StoreCheckpoint::load(&ckpt).expect("loads the checkpoint");
+    assert_eq!(checkpoint.completed, 16);
+    let mut resumed = StoreCampaignRunner::resume(&slice, cfg, resilience, exec, checkpoint)
+        .expect("resumes past the torn tail");
+    while resumed.step_chunk().expect("chunk") {}
+    resumed.finish().expect("closes the store");
+    let stored = TraceSet::from_store(&store);
+    for path in [&store, &ckpt, &ckpt.with_extension("json.bak")] {
+        std::fs::remove_file(path).ok();
+    }
+    let stored = stored.expect("the resumed store loads");
+    let golden = run_parallel_campaign(&slice, &cfg, exec).expect("uninterrupted run");
+    assert_eq!(stored.len(), 40);
+    for i in 0..40 {
+        assert_eq!(stored.input(i), golden.input(i), "plaintext {i}");
+    }
+    assert_eq!(sample_digest(&stored), sample_digest(&golden));
 }
